@@ -12,6 +12,7 @@ from .bootstrap import BootstrapResult, skew_boot
 from .data import (
     DataError,
     DataMatrix,
+    PreconditionError,
     SingularityError,
     SpdMatrix,
     covariance,
@@ -25,7 +26,6 @@ from .measures import (
     chi2_sf,
     directional_skewness,
     fisher_skew,
-    mardia_pairwise,
     mardia_skewness,
     mori_vector,
     partial_skewness,
@@ -49,6 +49,7 @@ __all__ = [
     "BootstrapResult",
     "DataError",
     "DataMatrix",
+    "PreconditionError",
     "ProjectionBasis",
     "SingularityError",
     "SkewnessReport",
@@ -64,7 +65,6 @@ __all__ = [
     "kronecker",
     "load_csv",
     "load_third_moment",
-    "mardia_pairwise",
     "mardia_skewness",
     "max_skew",
     "mean_vector",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, DataMatrix, SingularityError, as_data_matrix
+from .data import DataMatrix, PreconditionError, SingularityError, as_data_matrix
 from .measures import mardia_skewness, partial_skewness
 from .projection import max_skew
 
@@ -95,17 +95,17 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     try:
         measure = canonical[str(measure).lower()]
     except KeyError:
-        raise DataError(
+        raise PreconditionError(
             f"measure must be one of {MEASURES}, got {measure!r}"
         ) from None
     minimum = data.d + 1 if measure == "Partial" else data.d
     if units <= minimum:
-        raise DataError(
+        raise PreconditionError(
             f"units must be greater than {minimum} for the {measure} "
             f"measure on {data.d} variables, got {units}"
         )
     if replicates < 1:
-        raise DataError(f"replicates must be >= 1, got {replicates}")
+        raise PreconditionError(f"replicates must be >= 1, got {replicates}")
 
     observed = _statistic(data, measure)
     values = np.empty(replicates)

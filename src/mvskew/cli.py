@@ -3,8 +3,9 @@
 Subcommands mirror the library: ``third`` (moment matrices), ``skew``
 (fisher/mardia/partial reports), ``maxskew`` (most-skewed projections),
 ``minskew`` (least-skewed projections), ``boot`` (bootstrap p-values).
-Exit status is 0 on success, 2 on usage/precondition errors, 1 on
-computation errors, with a one-line diagnostic on stderr.
+Exit status is 0 on success, 2 on bad usage or a library
+``PreconditionError``, 1 on other data and computation errors, with a
+one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import MEASURES, skew_boot
-from .data import DataError, DataMatrix, SingularityError, load_csv
+from .bootstrap import skew_boot
+from .data import DataError, DataMatrix, PreconditionError, SingularityError, load_csv
 from .measures import fisher_skew, mardia_skewness, partial_skewness
 from .moments import ThirdMomentMatrix, save_third_moment, third_moment
 from .projection import ProjectionBasis, max_skew
@@ -27,10 +28,6 @@ from .symmetrize import min_skew
 __all__ = ["main"]
 
 ENV_OUTPUT_DIR = "MVSKEW_OUTPUT_DIR"
-
-
-class UsageError(Exception):
-    """Bad arguments or violated preconditions; maps to exit status 2."""
 
 
 def _parse_selection(spec: str):
@@ -45,7 +42,7 @@ def _parse_selection(spec: str):
             if lo.strip().isdigit() and hi.strip().isdigit():
                 lo_i, hi_i = int(lo), int(hi)
                 if lo_i > hi_i or lo_i < 1:
-                    raise UsageError(f"bad range {token!r} in selection")
+                    raise PreconditionError(f"bad range {token!r} in selection")
                 out.extend(range(lo_i, hi_i + 1))
                 continue
         if token.isdigit():
@@ -53,7 +50,7 @@ def _parse_selection(spec: str):
         else:
             out.append(token)
     if not out:
-        raise UsageError(f"empty selection {spec!r}")
+        raise PreconditionError(f"empty selection {spec!r}")
     return out
 
 
@@ -62,9 +59,9 @@ def _parse_rows(spec: str, n: int):
     indices = []
     for r in rows:
         if not isinstance(r, int):
-            raise UsageError(f"row selection must be numeric, got {r!r}")
+            raise PreconditionError(f"row selection must be numeric, got {r!r}")
         if not 1 <= r <= n:
-            raise UsageError(f"row {r} out of range 1..{n}")
+            raise PreconditionError(f"row {r} out of range 1..{n}")
         indices.append(r - 1)
     return indices
 
@@ -192,13 +189,6 @@ def _basis_files(basis: ProjectionBasis, directory: Path, prefix: str, args,
 
 def _cmd_maxskew(args) -> int:
     data = _load(args)
-    if args.iterations < 1:
-        raise UsageError(f"iterations must be >= 1, got {args.iterations}")
-    if not 1 <= args.components < data.d:
-        raise UsageError(
-            f"components must be a positive integer smaller than the number "
-            f"of variables ({data.d}), got {args.components}"
-        )
     basis = max_skew(data, iterations=args.iterations, components=args.components)
     directory = _out_dir(args)
     paths = _basis_files(basis, directory, "maxskew", args,
@@ -215,11 +205,6 @@ def _cmd_maxskew(args) -> int:
 
 def _cmd_minskew(args) -> int:
     data = _load(args)
-    if not 2 <= args.dimension <= data.d:
-        raise UsageError(
-            f"dimension must be an integer between 2 and the number of "
-            f"variables ({data.d}), got {args.dimension}"
-        )
     basis = min_skew(data, dimension=args.dimension)
     directory = _out_dir(args)
     paths = _basis_files(basis, directory, "minskew", args,
@@ -231,20 +216,8 @@ def _cmd_minskew(args) -> int:
 
 def _cmd_boot(args) -> int:
     data = _load(args)
-    canonical = {name.lower(): name for name in MEASURES}
-    measure = canonical.get(args.measure.lower())
-    if measure is None:
-        raise UsageError(f"measure must be one of {MEASURES}, got {args.measure!r}")
-    minimum = data.d + 1 if measure == "Partial" else data.d
-    if args.units <= minimum:
-        raise UsageError(
-            f"units must be greater than {minimum} for the {measure} measure "
-            f"on {data.d} variables, got {args.units}"
-        )
-    if args.replicates < 1:
-        raise UsageError(f"replicates must be >= 1, got {args.replicates}")
     result = skew_boot(data, replicates=args.replicates, units=args.units,
-                       measure=measure, seed=args.seed)
+                       measure=args.measure, seed=args.seed)
     directory = _out_dir(args)
     summary_items = [
         ("measure", result.measure),
@@ -355,7 +328,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except PreconditionError as exc:
         print(f"mvskew: {exc}", file=sys.stderr)
         return 2
     except (DataError, SingularityError, FileNotFoundError) as exc:

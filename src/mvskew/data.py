@@ -6,12 +6,19 @@ This module owns the two conventions everything else inherits:
   1/(n-1) -- the maximum-likelihood convention the skewness measures in
   :mod:`mvskew.measures` are calibrated against;
 * matrix square roots are symmetric (spectral), never Cholesky.
+
+Whitening -- the covariance, its inverse symmetric root and the whitened
+rows -- is computed on first use and cached on the :class:`DataMatrix`
+(``DataMatrix.whitening``); every standardized quantity in the package reads
+that cache. Argument checks that callers can get wrong (counts, dimensions,
+measure names) raise :class:`PreconditionError`.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "DataError",
+    "PreconditionError",
     "SingularityError",
     "DataMatrix",
     "SpdMatrix",
@@ -37,6 +45,11 @@ class DataError(ValueError):
     """Input data failed validation (shape, finiteness, labels, parsing)."""
 
 
+class PreconditionError(DataError):
+    """An argument violates a documented precondition (a count, a dimension
+    or a name out of range); the command line exits 2 on it."""
+
+
 class SingularityError(ValueError):
     """A covariance or SPD matrix is numerically singular."""
 
@@ -46,7 +59,9 @@ class DataMatrix:
     """An n x d matrix of observations with unique column labels.
 
     Immutable after construction; the underlying array is marked read-only
-    so instances are safe to share across threads.
+    so instances are safe to share across threads. The whitening is cached
+    on first use and is itself read-only, so sharing stays safe: two threads
+    that race on the first use only compute the same value twice.
     """
 
     values: np.ndarray
@@ -81,6 +96,18 @@ class DataMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened rows z = S^{-1/2}(x - mean) and the root S^{-1/2}.
+
+        Raises SingularityError, uncached, when the covariance is singular.
+        """
+        root = inv_sqrt(covariance(self))
+        z = (self.values - self.values.mean(axis=0)) @ root
+        z.setflags(write=False)
+        root.setflags(write=False)
+        return z, root
 
     @classmethod
     def from_array(cls, values, names: Sequence[str] | None = None) -> "DataMatrix":
@@ -290,5 +317,4 @@ def standardize(data) -> DataMatrix:
     identity (1/n convention). Column labels are preserved.
     """
     data = as_data_matrix(data)
-    centered = data.values - data.values.mean(axis=0)
-    return DataMatrix(centered @ inv_sqrt(covariance(data)), data.names)
+    return DataMatrix(data.whitening[0], data.names)

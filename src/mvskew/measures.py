@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .data import SingularityError, as_data_matrix, standardize
+from .data import SingularityError, as_data_matrix
 from .moments import third_moment
 
 __all__ = [
     "SkewnessReport",
     "fisher_skew",
     "mardia_skewness",
-    "mardia_pairwise",
     "mori_vector",
     "partial_skewness",
     "directional_skewness",
@@ -127,22 +126,9 @@ def mardia_skewness(data) -> SkewnessReport:
     )
 
 
-def mardia_pairwise(data) -> float:
-    """Mardia's skewness by the O(n^2) double sum over observation pairs.
-
-    (1/n^2) sum_{a,b} [(x_a - mean)' S^{-1} (x_b - mean)]^3 -- an independent
-    route to the same quantity as :func:`mardia_skewness`; the two agree to
-    1e-9 and tests hold them to that.
-    """
-    data = as_data_matrix(data)
-    z = standardize(data).values
-    gram = z @ z.T
-    return float((gram**3).sum()) / data.n**2
-
-
 def mori_vector(data) -> np.ndarray:
     """Mori-Rohatgi-Szekely skewness vector: mean of (z'z) z over rows."""
-    z = standardize(data).values
+    z = as_data_matrix(data).whitening[0]
     return ((z**2).sum(axis=1)[:, None] * z).mean(axis=0)
 
 

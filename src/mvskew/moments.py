@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, as_data_matrix, covariance, standardize
+from .data import DataError, as_data_matrix
 
 __all__ = [
     "KINDS",
@@ -49,6 +49,13 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     if np.abs(canon - values).max() > SYMMETRY_RTOL * scale:
         raise DataError("matrix violates third-moment index symmetry")
     return canon
+
+
+def _third_products(rows: np.ndarray) -> np.ndarray:
+    """The (d^2, d) average of x (x) x' (x) x over the rows, not symmetrized."""
+    n, d = rows.shape
+    pairs = (rows[:, :, None] * rows[:, None, :]).reshape(n, d * d)
+    return pairs.T @ rows / n
 
 
 @dataclass(frozen=True)
@@ -105,11 +112,8 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
     elif kind == "central":
         rows = data.values - data.values.mean(axis=0)
     else:
-        rows = standardize(data).values
-    n, d = rows.shape
-    pairs = (rows[:, :, None] * rows[:, None, :]).reshape(n, d * d)
-    values = pairs.T @ rows / n
-    return ThirdMomentMatrix(values, kind)
+        rows = data.whitening[0]
+    return ThirdMomentMatrix(_third_products(rows), kind)
 
 
 def kronecker(a, b) -> np.ndarray:

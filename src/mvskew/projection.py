@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, as_data_matrix, covariance, inv_sqrt, standardize
+from .data import DataError, PreconditionError, as_data_matrix
+from .moments import _third_products
 
 __all__ = ["ProjectionBasis", "max_skew", "skewness_of_projection"]
 
@@ -70,13 +71,6 @@ def skewness_of_projection(data, c) -> float:
     return _sample_skewness(data.values @ c)
 
 
-def _third_cumulant_of_centered(rows: np.ndarray) -> np.ndarray:
-    # rows are already mean-zero; returns the (m^2, m) cumulant matrix
-    n, m = rows.shape
-    pairs = (rows[:, :, None] * rows[:, None, :]).reshape(n, m * m)
-    return pairs.T @ rows / n
-
-
 def _restart_directions(cumulant: np.ndarray, m: int) -> list[np.ndarray]:
     """Eigenvectors of every cumulant block plus fixed random starts.
 
@@ -120,7 +114,7 @@ def _best_direction(rows: np.ndarray, iterations: int) -> tuple[np.ndarray, floa
         c = np.ones(1)
         gamma = _sample_skewness(rows[:, 0])
     else:
-        cumulant = _third_cumulant_of_centered(rows)
+        cumulant = _third_products(rows)
         best = None
         for index, start in enumerate(_restart_directions(cumulant, m)):
             c_try = _power_iterate(cumulant, start, iterations)
@@ -158,13 +152,13 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
     """
     data = as_data_matrix(data)
     if iterations < 1:
-        raise DataError(f"iterations must be >= 1, got {iterations}")
+        raise PreconditionError(f"iterations must be >= 1, got {iterations}")
     if not 1 <= components < data.d:
-        raise DataError(
+        raise PreconditionError(
             f"components must be a positive integer smaller than the number "
             f"of variables ({data.d}), got {components}"
         )
-    z = standardize(data).values
+    z, root = data.whitening
     d = data.d
 
     basis = np.eye(d)  # orthonormal basis of the not-yet-searched subspace
@@ -184,7 +178,7 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
 
     standardized_directions = np.column_stack(columns)
     projected = z @ standardized_directions
-    directions = inv_sqrt(covariance(data)) @ standardized_directions
+    directions = root @ standardized_directions
     return ProjectionBasis(
         directions=directions,
         standardized_directions=standardized_directions,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, as_data_matrix, covariance, inv_sqrt, standardize
+from .data import DataError, PreconditionError, as_data_matrix
 from .measures import SkewnessReport, mardia_skewness
 from .moments import third_moment
 from .projection import ProjectionBasis
@@ -42,11 +42,11 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
     """
     data = as_data_matrix(data)
     if not 2 <= dimension <= data.d:
-        raise DataError(
+        raise PreconditionError(
             f"dimension must be an integer between 2 and the number of "
             f"variables ({data.d}), got {dimension}"
         )
-    z = standardize(data).values
+    z, root = data.whitening
     cumulant = third_moment(data, "standardized").values
     _, singular_values, vt = np.linalg.svd(cumulant)
     # smallest `dimension` singular values; SVD order (descending) preserved
@@ -57,7 +57,7 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
         if column[int(np.argmax(np.abs(column)))] < 0:
             selected[:, j] = -column
     projected = z @ selected
-    directions = inv_sqrt(covariance(data)) @ selected
+    directions = root @ selected
     return ProjectionBasis(
         directions=directions,
         standardized_directions=selected,

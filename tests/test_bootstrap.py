@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mvskew import DataError, SingularityError, mardia_skewness, skew_boot
+from mvskew import PreconditionError, SingularityError, mardia_skewness, skew_boot
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +73,24 @@ def test_histogram_sturges_bin_count(iris):
 # ---------------------------------------------------------------------------
 
 def test_units_constraint_mardia(iris):
-    with pytest.raises(DataError, match="units"):
+    with pytest.raises(PreconditionError, match="units"):
         skew_boot(iris, replicates=5, units=4, measure="Mardia", seed=0)
     skew_boot(iris, replicates=2, units=5, measure="Mardia", seed=0)
 
 
 def test_units_constraint_partial(iris):
-    with pytest.raises(DataError, match="units"):
+    with pytest.raises(PreconditionError, match="units"):
         skew_boot(iris, replicates=5, units=5, measure="Partial", seed=0)
     skew_boot(iris, replicates=2, units=6, measure="Partial", seed=0)
 
 
 def test_replicates_constraint(iris):
-    with pytest.raises(DataError, match="replicates"):
+    with pytest.raises(PreconditionError, match="replicates"):
         skew_boot(iris, replicates=0, units=11, measure="Mardia", seed=0)
 
 
 def test_unknown_measure(iris):
-    with pytest.raises(DataError, match="measure"):
+    with pytest.raises(PreconditionError, match="measure"):
         skew_boot(iris, replicates=2, units=11, measure="Kurtosis", seed=0)
 
 

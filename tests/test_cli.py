@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvskew
 from mvskew import load_third_moment
 from mvskew.cli import main
 
@@ -120,6 +123,13 @@ def test_maxskew_component_bound_exit_2(tmp_path, iris_path, capsys):
     assert "components must be" in err and "smaller than the number of variables" in err
 
 
+def test_maxskew_iterations_exit_2(tmp_path, iris_path, capsys):
+    code = main(["maxskew", str(iris_path), "--iterations", "0",
+                 "--columns", "1-4", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "mvskew: iterations must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_minskew_outputs(tmp_path, iris_path):
     code = main(["minskew", str(iris_path), "--dimension", "2",
                  "--columns", "1-4", "--output-dir", str(tmp_path)])
@@ -164,6 +174,23 @@ def test_boot_units_constraint_exit_2(tmp_path, iris_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert "units must be greater than 5" in capsys.readouterr().err
+
+
+def test_boot_replicates_exit_2(tmp_path, iris_path, capsys):
+    code = main(["boot", str(iris_path), "--measure", "Mardia",
+                 "--replicates", "0", "--units", "11", "--columns", "1-4",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert "mvskew: replicates must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_boot_unknown_measure_exit_2(tmp_path, iris_path, capsys):
+    code = main(["boot", str(iris_path), "--measure", "Bogus",
+                 "--replicates", "5", "--units", "11", "--columns", "1-4",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert ("mvskew: measure must be one of ('Directional', 'Partial', "
+            "'Mardia'), got 'Bogus'") in capsys.readouterr().err
 
 
 def test_boot_json(tmp_path, iris_path):
@@ -245,3 +272,43 @@ def test_console_entry_point(tmp_path, iris_path):
     )
     assert result.returncode == 0
     assert "2.69722" in result.stdout
+
+
+# every job of an iris session, each as CLI argv after the input file
+SESSION_JOBS = (
+    ("third", "--kind", "standardized"),
+    ("skew", "--measure", "all"),
+    ("maxskew", "--iterations", "50", "--components", "2"),
+    ("minskew", "--dimension", "2"),
+    ("boot", "--measure", "Directional", "--replicates", "20", "--units", "150"),
+    ("boot", "--measure", "Mardia", "--replicates", "50", "--units", "150"),
+)
+
+SESSION_SCRIPT = """
+import json, sys
+from mvskew.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_outputs_independent_of_blas_threads(tmp_path, iris_path):
+    # BLAS reads its thread count at load time, so each count needs its own
+    # process; every output file must match byte for byte at full precision
+    src = str(Path(mvskew.__file__).resolve().parents[1])
+    trees = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        argvs = [[job[0], str(iris_path), *job[1:], "--columns", "1-4",
+                  "--precision", "15", "--output-dir", str(root / str(k))]
+                 for k, job in enumerate(SESSION_JOBS)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", SESSION_SCRIPT, json.dumps(argvs)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        trees[threads] = {path.relative_to(root): path.read_bytes()
+                          for path in sorted(root.rglob("*")) if path.is_file()}
+    assert len(trees["1"]) == 17
+    assert trees["1"] == trees["2"]

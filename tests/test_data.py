@@ -10,8 +10,12 @@ from mvskew import (
     covariance,
     inv_sqrt,
     load_csv,
+    mardia_skewness,
     mean_vector,
+    min_skew,
+    partial_skewness,
     standardize,
+    third_moment,
 )
 
 
@@ -213,6 +217,23 @@ def test_inv_sqrt_near_singular():
 # ---------------------------------------------------------------------------
 # standardize
 # ---------------------------------------------------------------------------
+
+def test_whitening_runs_once_per_data_matrix(iris, monkeypatch):
+    # one whitening costs three symmetric eigensolves: the singularity test
+    # in covariance, SpdMatrix validation and inv_sqrt
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    fresh = DataMatrix(iris.values, iris.names)
+    mardia_skewness(fresh)
+    partial_skewness(fresh)
+    third_moment(fresh, "standardized")
+    min_skew(fresh, dimension=2)
+    assert len(calls) <= 3, calls
+
 
 def test_standardize_moments(iris):
     z = standardize(iris)

@@ -10,7 +10,6 @@ from mvskew import (
     chi2_sf,
     directional_skewness,
     fisher_skew,
-    mardia_pairwise,
     mardia_skewness,
     mori_vector,
     partial_skewness,
@@ -97,7 +96,7 @@ def test_mardia_pooled_reflection_is_zero(iris):
     assert report.pvalue == 1.0
 
 
-def test_mardia_two_paths_agree(iris):
+def test_mardia_two_paths_agree(iris, mardia_pairwise):
     assert abs(mardia_skewness(iris).value - mardia_pairwise(iris)) < 1e-9
     rng = np.random.default_rng(5)
     for _ in range(3):

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from mvskew import (
     DataError,
+    PreconditionError,
     fisher_skew,
     kronecker,
     max_skew,
@@ -186,9 +187,9 @@ def test_max_skew_symmetric_data_near_zero(iris):
 
 
 def test_max_skew_preconditions(iris):
-    with pytest.raises(DataError, match="components"):
+    with pytest.raises(PreconditionError, match="components"):
         max_skew(iris, iterations=10, components=4)
-    with pytest.raises(DataError, match="components"):
+    with pytest.raises(PreconditionError, match="components"):
         max_skew(iris, iterations=10, components=0)
-    with pytest.raises(DataError, match="iterations"):
+    with pytest.raises(PreconditionError, match="iterations"):
         max_skew(iris, iterations=0, components=1)

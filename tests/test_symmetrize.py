@@ -6,6 +6,7 @@ import pytest
 from mvskew import (
     DataError,
     DataMatrix,
+    PreconditionError,
     mardia_skewness,
     max_skew,
     min_skew,
@@ -107,9 +108,9 @@ def test_min_skew_sign_canonicalization(iris):
 
 
 def test_min_skew_dimension_bounds(iris):
-    with pytest.raises(DataError, match="dimension"):
+    with pytest.raises(PreconditionError, match="dimension"):
         min_skew(iris, dimension=1)
-    with pytest.raises(DataError, match="dimension"):
+    with pytest.raises(PreconditionError, match="dimension"):
         min_skew(iris, dimension=5)
 
 
