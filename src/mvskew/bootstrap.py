@@ -98,6 +98,10 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         raise PreconditionError(
             f"measure must be one of {MEASURES}, got {measure!r}"
         ) from None
+    if measure == "Directional" and data.d < 2:
+        raise PreconditionError(
+            f"the Directional measure needs at least 2 variables, got {data.d}"
+        )
     minimum = data.d + 1 if measure == "Partial" else data.d
     if units <= minimum:
         raise PreconditionError(

@@ -169,13 +169,17 @@ def _basis_files(basis: ProjectionBasis, directory: Path, prefix: str, args,
                  linear_name: str, proj_name: str) -> list[Path]:
     if args.format == "json":
         path = directory / f"{prefix}.json"
-        _json_dump(path, {
+        payload = {
             linear_name: [[float(x) for x in row] for row in basis.directions],
             "standardized_directions":
                 [[float(x) for x in row] for row in basis.standardized_directions],
             "skewness": [float(x) for x in basis.skewness],
             proj_name: [[float(x) for x in row] for row in basis.projected],
-        })
+        }
+        if basis.restarts:  # max_skew's per-component search diagnostics
+            payload.update(restarts=list(basis.restarts),
+                           converged=list(basis.converged))
+        _json_dump(path, payload)
         return [path]
     paths = []
     for stem, matrix in ((linear_name, basis.directions),

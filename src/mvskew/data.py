@@ -17,7 +17,7 @@ measure names) raise :class:`PreconditionError`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -133,9 +133,15 @@ def as_data_matrix(data) -> DataMatrix:
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """A symmetric positive definite d x d matrix (e.g. a covariance)."""
+    """A symmetric positive definite d x d matrix (e.g. a covariance).
+
+    ``spectrum`` is its symmetric eigendecomposition (ascending eigenvalues,
+    eigenvectors), solved once when the matrix is validated; the singularity
+    test in :func:`covariance` and :func:`inv_sqrt` reuse it.
+    """
 
     values: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -146,13 +152,15 @@ class SpdMatrix:
             raise DataError("matrix is not symmetric to within 1e-12 relative")
         # store the exactly symmetric part
         values = (values + values.T) / 2.0
-        eigvals = np.linalg.eigvalsh(values)
+        eigvals, eigvecs = np.linalg.eigh(values)
         if eigvals[0] <= 0:
             raise SingularityError(
                 f"matrix is not positive definite (min eigenvalue {eigvals[0]:.3e})"
             )
-        values.setflags(write=False)
+        for array in (values, eigvals, eigvecs):
+            array.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "spectrum", (eigvals, eigvecs))
 
     @property
     def d(self) -> int:
@@ -277,7 +285,12 @@ def covariance(data) -> SpdMatrix:
     centered = data.values - data.values.mean(axis=0)
     cov = centered.T @ centered / data.n
     cov = (cov + cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    try:
+        spd = SpdMatrix(cov)
+        eigvals, eigvecs = spd.spectrum
+    except SingularityError:
+        # not even positive definite: solve again for the message below
+        eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] <= EIG_RTOL * max(eigvals[-1], np.finfo(float).tiny):
         direction = eigvecs[:, 0]
         combo = " ".join(
@@ -287,7 +300,7 @@ def covariance(data) -> SpdMatrix:
             f"covariance is singular along {combo} "
             f"(eigenvalue {eigvals[0]:.3e})"
         )
-    return SpdMatrix(cov)
+    return spd
 
 
 def inv_sqrt(spd) -> np.ndarray:
@@ -296,11 +309,9 @@ def inv_sqrt(spd) -> np.ndarray:
     Accepts an SpdMatrix or a plain symmetric array. The result R is
     symmetric, positive definite, and satisfies R @ S @ R = I to 1e-10.
     """
-    if isinstance(spd, SpdMatrix):
-        matrix = spd.values
-    else:
-        matrix = SpdMatrix(np.asarray(spd, dtype=float)).values
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    if not isinstance(spd, SpdMatrix):
+        spd = SpdMatrix(np.asarray(spd, dtype=float))
+    eigvals, eigvecs = spd.spectrum
     if eigvals[0] <= EIG_RTOL * eigvals[-1]:
         raise SingularityError(
             f"matrix too ill-conditioned for a stable inverse square root "

@@ -154,17 +154,24 @@ def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:
 def transform_third(m3: ThirdMomentMatrix, a) -> ThirdMomentMatrix:
     """Third moment of the linearly transformed vector y = A x.
 
-    Computes (A (x) A) M3 A' for a k x d matrix A. Kind is preserved for
-    raw/central; a standardized input stays standardized only when A has
-    orthonormal rows (checked numerically), otherwise the result is tagged
-    central (Ax of a mean-zero standardized vector is still mean zero).
+    Computes (A (x) A) M3 A' for a k x d matrix A, as one contraction with A
+    per tensor index; the k^2 x d^2 matrix A (x) A is never formed. Kind is
+    preserved for raw/central; a standardized input stays standardized only
+    when A has orthonormal rows (checked numerically), otherwise the result
+    is tagged central (Ax of a mean-zero standardized vector is still mean
+    zero).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != m3.d:
         raise DataError(
             f"transform has {a.shape[1]} columns, moment dimension is {m3.d}"
         )
-    values = kronecker(a, a) @ m3.values @ a.T
+    values = m3.tensor()
+    for _ in range(3):
+        # contract the leading index with A; the new index goes last, so after
+        # three contractions the axes are back in order
+        values = np.tensordot(values, a, axes=(0, 1))
+    values = values.reshape(-1, a.shape[0])
     kind = m3.kind
     if kind == "standardized":
         gram = a @ a.T

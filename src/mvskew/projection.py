@@ -1,13 +1,14 @@
 """Orthogonal data projections of maximal skewness.
 
-The search runs in the standardized (whitened) space, where the sample
-skewness of a unit-direction projection is the cubic form c -> (c (x) c)' K c
-on the third cumulant K of the whitened rows. Each direction is found by
-tensor power iteration, c <- normalize(K' (c (x) c)), restarted from the
-eigenvectors of the dominant cumulant block plus fixed-seed random unit
-vectors; subsequent directions repeat the search inside the orthogonal
-complement of those already found (deflation), which keeps the projections
-exactly uncorrelated.
+For whitened rows z and a unit vector c, the sample skewness of z @ c is
+the cubic form (c (x) c)' K c on the third cumulant K of z, so the search
+needs K alone. Each direction is found by tensor power iteration,
+c <- normalize(K' (c (x) c)), from the eigenvectors of every cumulant block
+plus fixed-seed random unit vectors. The restarts run as one batch: an
+iteration is one product K' [c_r (x) c_r]_r, and a column freezes once its
+step is within CONVERGENCE_TOL or is zero. Later directions repeat the
+search in the orthogonal complement B of those found (deflation), on
+transform_third(K, B'), which keeps the projections exactly uncorrelated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, PreconditionError, as_data_matrix
-from .moments import _third_products
+from .moments import ThirdMomentMatrix, _third_products, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew", "skewness_of_projection"]
 
@@ -39,22 +40,17 @@ class ProjectionBasis:
     ``projected == (data - mean) @ directions``. ``skewness`` holds the
     per-column attained values: signed sample skewness for max_skew output,
     singular values of the standardized cumulant for min_skew output, with
-    non-increasing magnitudes either way.
+    non-increasing magnitudes either way. max_skew also reports, per
+    component, its ``restarts`` and how many ``converged`` (stopped within
+    the iteration budget); both are empty for min_skew output.
     """
 
     directions: np.ndarray
     standardized_directions: np.ndarray
     skewness: np.ndarray
     projected: np.ndarray
-
-
-def _sample_skewness(y: np.ndarray) -> float:
-    """Fisher-Pearson skewness of a sample, 1/n weights."""
-    centered = y - y.mean()
-    m2 = (centered**2).mean()
-    if m2 <= 0:
-        raise DataError("projection has zero variance")
-    return float((centered**3).mean() / m2**1.5)
+    restarts: tuple[int, ...] = ()
+    converged: tuple[int, ...] = ()
 
 
 def skewness_of_projection(data, c) -> float:
@@ -68,66 +64,67 @@ def skewness_of_projection(data, c) -> float:
         raise DataError(f"direction length {c.shape[0]} does not match d={data.d}")
     if not np.any(c):
         raise DataError("direction must be nonzero")
-    return _sample_skewness(data.values @ c)
+    y = data.values @ c
+    centered = y - y.mean()
+    m2 = (centered**2).mean()
+    if m2 <= 0:
+        raise DataError("projection has zero variance")
+    return float((centered**3).mean() / m2**1.5)
 
 
-def _restart_directions(cumulant: np.ndarray, m: int) -> list[np.ndarray]:
-    """Eigenvectors of every cumulant block plus fixed random starts.
+def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
+    """Eigenvectors of every cumulant block, then fixed random unit vectors,
+    as the columns of an m x (m^2 + N_RANDOM_RESTARTS) matrix.
 
     Blocks are ordered by decreasing Frobenius norm so the dominant block's
     eigenvectors come first; small-basin optima are often reachable only
     from the weaker blocks' eigenvectors.
     """
-    blocks = sorted(
-        (cumulant[i * m : (i + 1) * m] for i in range(m)),
-        key=lambda b: -float(np.linalg.norm(b)),
-    )
-    starts = []
-    for matrix in blocks:
-        _, eigvecs = np.linalg.eigh(matrix)
-        starts.extend(eigvecs[:, j].copy() for j in range(m))
+    m = cumulant.shape[1]
+    blocks = cumulant.reshape(m, m, m)
+    order = np.argsort(-np.linalg.norm(blocks, axis=(1, 2)), kind="stable")
+    eigvecs = np.linalg.eigh(blocks[order])[1]
     rng = np.random.default_rng(RESTART_SEED)
-    for _ in range(N_RANDOM_RESTARTS):
-        v = rng.standard_normal(m)
-        starts.append(v / np.linalg.norm(v))
-    return starts
+    random = rng.standard_normal((N_RANDOM_RESTARTS, m)).T
+    return np.hstack([eigvecs.transpose(1, 0, 2).reshape(m, m * m),
+                      random / np.linalg.norm(random, axis=0)])
 
 
-def _power_iterate(cumulant: np.ndarray, start: np.ndarray, iterations: int) -> np.ndarray:
-    c = start / np.linalg.norm(start)
+def _pairs(c: np.ndarray) -> np.ndarray:
+    """The m^2 x R matrix whose column r is c_r (x) c_r."""
+    m = c.shape[0]
+    return (c[:, None, :] * c[None, :, :]).reshape(m * m, -1)
+
+
+def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, float, int, int]:
+    """Most-skewed unit direction under a whitened m^2 x m third cumulant.
+
+    Returns the direction, signed so that its skewness is positive, that
+    skewness, the number of restarts and how many of them converged.
+    """
+    c = _restart_directions(cumulant)
+    active = np.arange(c.shape[1])
     for _ in range(iterations):
-        step = cumulant.T @ np.kron(c, c)
-        norm = np.linalg.norm(step)
-        if norm == 0.0:
-            break  # exactly symmetric data: every direction is stationary
-        step /= norm
-        if np.linalg.norm(step - c) < CONVERGENCE_TOL:
-            return step
-        c = step
-    return c
-
-
-def _best_direction(rows: np.ndarray, iterations: int) -> tuple[np.ndarray, float]:
-    """Most-skewed unit direction of mean-zero whitened rows, |skewness| max."""
-    m = rows.shape[1]
-    if m == 1:
-        c = np.ones(1)
-        gamma = _sample_skewness(rows[:, 0])
-    else:
-        cumulant = _third_products(rows)
-        best = None
-        for index, start in enumerate(_restart_directions(cumulant, m)):
-            c_try = _power_iterate(cumulant, start, iterations)
-            gamma_try = _sample_skewness(rows @ c_try)
-            # deterministic reduction: larger |skewness| wins, earliest index
-            # breaks ties
-            key = (abs(gamma_try), -index)
-            if best is None or key > best[0]:
-                best = (key, c_try, gamma_try)
-        _, c, gamma = best
-    if gamma < 0:
-        c, gamma = -c, -gamma
-    return c, gamma
+        current = c[:, active]
+        step = cumulant.T @ _pairs(current)
+        norm = np.linalg.norm(step, axis=0)
+        # zero step: c is stationary (exactly symmetric data), keep it, stop
+        moving = norm > 0.0
+        step = step[:, moving] / norm[moving]
+        c[:, active[moving]] = step
+        done = ~moving
+        done[moving] = np.linalg.norm(step - current[:, moving], axis=0) < CONVERGENCE_TOL
+        active = active[~done]
+        if not active.size:
+            break
+    gamma = np.einsum("hr,hr->r", c, cumulant.T @ _pairs(c))
+    # deterministic reduction: larger |skewness| wins, the earliest restart
+    # breaks ties
+    best = int(np.argmax(np.abs(gamma)))
+    direction, value = c[:, best], float(gamma[best])
+    if value < 0:
+        direction, value = -direction, -value
+    return direction, value, c.shape[1], c.shape[1] - active.size
 
 
 def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
@@ -159,22 +156,17 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
             f"of variables ({data.d}), got {components}"
         )
     z, root = data.whitening
-    d = data.d
+    cumulant = ThirdMomentMatrix(_third_products(z), "standardized")
 
-    basis = np.eye(d)  # orthonormal basis of the not-yet-searched subspace
-    columns = []
-    gammas = []
+    basis = np.eye(data.d)  # orthonormal basis of the not-yet-searched subspace
+    found = []
     for _ in range(components):
-        reduced = z @ basis
-        c_reduced, gamma = _best_direction(reduced, iterations)
-        columns.append(basis @ c_reduced)
-        gammas.append(gamma)
-        if basis.shape[1] > 1:
-            # shrink the search space to the orthogonal complement
-            q = np.linalg.qr(c_reduced.reshape(-1, 1), mode="complete")[0]
-            basis = basis @ q[:, 1:]
-        else:
-            basis = basis[:, :0]
+        c, gamma, tried, settled = _search(transform_third(cumulant, basis.T).values,
+                                           iterations)
+        found.append((basis @ c, gamma, tried, settled))
+        # shrink the search space to the orthogonal complement
+        basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
+    columns, gammas, restarts, converged = zip(*found)
 
     standardized_directions = np.column_stack(columns)
     projected = z @ standardized_directions
@@ -184,4 +176,6 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
         standardized_directions=standardized_directions,
         skewness=np.array(gammas),
         projected=projected,
+        restarts=restarts,
+        converged=converged,
     )

@@ -94,6 +94,13 @@ def test_unknown_measure(iris):
         skew_boot(iris, replicates=2, units=11, measure="Kurtosis", seed=0)
 
 
+def test_directional_needs_two_variables(iris):
+    one_column = iris.values[:, :1]
+    with pytest.raises(PreconditionError,
+                       match="Directional measure needs at least 2 variables, got 1"):
+        skew_boot(one_column, replicates=2, units=5, measure="Directional", seed=0)
+
+
 def test_measure_case_insensitive(iris):
     result = skew_boot(iris, replicates=2, units=11, measure="mardia", seed=0)
     assert result.measure == "Mardia"

@@ -115,6 +115,16 @@ def test_maxskew_outputs(tmp_path, iris_path):
     assert len(scatter) == 151
 
 
+def test_maxskew_json_carries_search_diagnostics(tmp_path, iris_path):
+    code = main(["maxskew", str(iris_path), "--components", "2",
+                 "--columns", "1-4", "--format", "json",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "maxskew.json").read_text())
+    assert payload["restarts"] == [4 * 4 + 8, 3 * 3 + 8]
+    assert all(0 <= c <= r for c, r in zip(payload["converged"], payload["restarts"]))
+
+
 def test_maxskew_component_bound_exit_2(tmp_path, iris_path, capsys):
     code = main(["maxskew", str(iris_path), "--components", "5",
                  "--columns", "1-4", "--output-dir", str(tmp_path)])
@@ -191,6 +201,15 @@ def test_boot_unknown_measure_exit_2(tmp_path, iris_path, capsys):
     assert code == 2
     assert ("mvskew: measure must be one of ('Directional', 'Partial', "
             "'Mardia'), got 'Bogus'") in capsys.readouterr().err
+
+
+def test_boot_directional_one_column_exit_2(tmp_path, iris_path, capsys):
+    code = main(["boot", str(iris_path), "--measure", "Directional",
+                 "--replicates", "5", "--units", "11", "--columns", "1",
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert ("mvskew: the Directional measure needs at least 2 variables, "
+            "got 1") in capsys.readouterr().err
 
 
 def test_boot_json(tmp_path, iris_path):

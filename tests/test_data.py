@@ -219,8 +219,8 @@ def test_inv_sqrt_near_singular():
 # ---------------------------------------------------------------------------
 
 def test_whitening_runs_once_per_data_matrix(iris, monkeypatch):
-    # one whitening costs three symmetric eigensolves: the singularity test
-    # in covariance, SpdMatrix validation and inv_sqrt
+    # one whitening costs one symmetric eigensolve: SpdMatrix validation
+    # solves it, and covariance's singularity test and inv_sqrt reuse it
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
@@ -232,7 +232,7 @@ def test_whitening_runs_once_per_data_matrix(iris, monkeypatch):
     partial_skewness(fresh)
     third_moment(fresh, "standardized")
     min_skew(fresh, dimension=2)
-    assert len(calls) <= 3, calls
+    assert len(calls) <= 1, calls
 
 
 def test_standardize_moments(iris):

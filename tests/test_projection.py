@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,61 @@ from mvskew import (
     standardize,
     third_moment,
 )
+
+
+def gamma_mixed(seed, n, d):
+    """x = G A + noise: iid Gamma(2) columns mixed by a random d x d matrix."""
+    rng = np.random.default_rng(seed)
+    return (rng.gamma(2.0, size=(n, d)) @ rng.standard_normal((d, d))
+            + 0.1 * rng.standard_normal((n, d)))
+
+
+def scalar_max_skew(values, iterations, components):
+    """numpy-only reference for max_skew, one restart at a time.
+
+    Whitens with its own eigh, rebuilds the third cumulant from the projected
+    rows for every component, runs each restart's power iteration alone
+    (the same starts, tolerance and stopping rules) and scores it by the
+    sample skewness of the projected rows; the first largest |skewness|
+    wins. Returns the whitened directions and their skewness.
+    """
+    centered = values - values.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / len(values))
+    z = centered @ (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    basis = np.eye(values.shape[1])
+    columns, gammas = [], []
+    for _ in range(components):
+        rows = z @ basis
+        m = rows.shape[1]
+        k3 = np.einsum("ni,nj,nh->ijh", rows, rows, rows) / len(rows)
+        norms = [np.linalg.norm(k3[i]) for i in range(m)]
+        starts = [np.linalg.eigh(k3[i])[1][:, j]
+                  for i in sorted(range(m), key=lambda i: -norms[i])
+                  for j in range(m)]
+        rng = np.random.default_rng(20240611)
+        starts += [v / np.linalg.norm(v) for v in
+                   (rng.standard_normal(m) for _ in range(8))]
+        best = None
+        for c in starts:
+            for _ in range(iterations):
+                step = np.einsum("ijh,i,j->h", k3, c, c)
+                if np.linalg.norm(step) == 0.0:
+                    break
+                step = step / np.linalg.norm(step)
+                converged = np.linalg.norm(step - c) < 1e-12
+                c = step
+                if converged:
+                    break
+            y = rows @ c
+            y = y - y.mean()
+            gamma = (y**3).mean() / (y**2).mean() ** 1.5
+            if best is None or abs(gamma) > abs(best[1]):
+                best = (c, gamma)
+        c, gamma = best if best[1] >= 0 else (-best[0], -best[1])
+        columns.append(basis @ c)
+        gammas.append(gamma)
+        basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
+    return np.column_stack(columns), np.array(gammas)
 
 
 def pooled_with_reflection(values):
@@ -184,6 +241,32 @@ def test_max_skew_symmetric_data_near_zero(iris):
     pooled = pooled_with_reflection(iris.values)
     basis = max_skew(pooled, iterations=30, components=1)
     assert abs(basis.skewness[0]) < 1e-6
+
+
+@pytest.mark.parametrize("iterations", [1, 5, 50])
+def test_max_skew_matches_scalar_reference(iterations):
+    values = gamma_mixed(20240611, 300, 10)
+    basis = max_skew(values, iterations=iterations, components=3)
+    directions, gammas = scalar_max_skew(values, iterations, 3)
+    assert np.abs(basis.standardized_directions - directions).max() < 1e-8
+    assert np.abs(basis.skewness - gammas).max() < 1e-8
+
+
+def test_max_skew_search_diagnostics():
+    basis = max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
+    assert basis.restarts == (6 * 6 + 8, 5 * 5 + 8, 4 * 4 + 8)
+    assert all(0 <= c <= r for c, r in zip(basis.converged, basis.restarts))
+
+
+def test_max_skew_zero_cumulant_cube():
+    # the 8 vertices of the +-1 cube: every third cumulant entry is exactly
+    # 0, so every restart's first step is zero and freezes its start
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    basis = max_skew(cube, iterations=50, components=1)
+    assert basis.skewness[0] == 0.0
+    c = basis.standardized_directions[:, 0]
+    assert np.all(np.isfinite(c)) and abs(np.linalg.norm(c) - 1.0) < 1e-12
+    assert basis.converged == basis.restarts == (3 * 3 + 8,)
 
 
 def test_max_skew_preconditions(iris):
