@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, PreconditionError, SingularityError, as_data_matrix
-from .measures import mardia_skewness, partial_skewness
+from .measures import _skewness_value
 from .projection import max_skew
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
@@ -48,10 +48,8 @@ class BootstrapResult:
 
 
 def _statistic(data: DataMatrix, measure: str) -> float:
-    if measure == "Mardia":
-        return float(mardia_skewness(data).value)
-    if measure == "Partial":
-        return float(partial_skewness(data).value)
+    if measure != "Directional":  # no p-value: the bootstrap discards it
+        return _skewness_value(data, measure.lower())[0]
     basis = max_skew(data, iterations=DIRECTIONAL_ITERATIONS, components=1)
     return float(basis.skewness[0] ** 2)
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import skew_boot
-from .data import DataError, DataMatrix, PreconditionError, SingularityError, load_csv
+from .data import (DataError, DataMatrix, PreconditionError, SingularityError,
+                   format_matrix, load_csv)
 from .measures import fisher_skew, mardia_skewness, partial_skewness
 from .moments import ThirdMomentMatrix, save_third_moment, third_moment
 from .projection import ProjectionBasis, max_skew
@@ -86,12 +87,10 @@ def _fmt(precision: int):
 
 
 def _write_matrix(path: Path, matrix: np.ndarray, precision: int, header=None) -> None:
-    show = _fmt(precision)
     with open(path, "w") as handle:
         if header:
             handle.write(",".join(header) + "\n")
-        for row in np.atleast_2d(matrix):
-            handle.write(",".join(show(x) for x in row) + "\n")
+        handle.write(format_matrix(matrix, precision))
 
 
 def _write_keyvalue(path: Path, items, precision: int) -> None:

@@ -17,6 +17,7 @@ measure names) raise :class:`PreconditionError`.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -31,6 +32,7 @@ __all__ = [
     "DataMatrix",
     "SpdMatrix",
     "load_csv",
+    "format_matrix",
     "mean_vector",
     "covariance",
     "inv_sqrt",
@@ -68,7 +70,8 @@ class DataMatrix:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        # row-major whatever the input's layout, so sums run in one order
+        values = np.array(self.values, dtype=float, order="C")
         if values.ndim != 2:
             raise DataError(f"expected a 2-d array, got ndim={values.ndim}")
         n, d = values.shape
@@ -167,12 +170,72 @@ class SpdMatrix:
         return self.values.shape[0]
 
 
-def _looks_numeric(cell: str) -> bool:
+def _is_number(cell: str) -> bool:
+    """Whether numpy's text parser reads the cell as a float.
+
+    That is what ``float`` accepts, less digit separators and non-ASCII
+    digits: ``1.5``, ``-2e3``, ``nan`` and ``inf`` are numbers, ``1_000``
+    and ``NA`` are not.
+    """
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
     try:
         float(cell)
     except ValueError:
         return False
     return True
+
+
+def _ignored(cell: str) -> float:
+    """Converter for a column the caller did not select."""
+    return 0.0
+
+
+def _label_converter():
+    """Converter that reads a label column as zeros.
+
+    It raises on a number, because a column holding one is numeric; each
+    distinct label is tested once.
+    """
+    labels = set()
+
+    def convert(cell: str) -> float:
+        if cell not in labels:
+            if _is_number(cell):
+                raise ValueError(f"number {cell!r} in a label column")
+            labels.add(cell)
+        return 0.0
+
+    return convert
+
+
+def _raise_fault(path: Path, header: bool, keep: list[int] | None) -> None:
+    """Raise a DataError naming the first ragged row or bad cell in the file.
+
+    Runs only after numpy's parser refused the file, and returns no values.
+    ``keep`` lists the columns read; ``None`` classifies every column by
+    the label rule of :func:`load_csv`. Returns when it finds no fault.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(
+                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
+            )
+    body = rows[int(header):]
+    if keep is None:
+        keep = [j for j in range(width) if any(_is_number(row[j]) for row in body)]
+    for i, row in enumerate(body):
+        for j in keep:
+            cell = row[j].strip()
+            if not (_is_number(cell) and math.isfinite(float(cell))):
+                raise DataError(
+                    f"{path}: non-numeric cell {cell!r} at row "
+                    f"{i + 1 + int(header)}, column {j + 1}"
+                )
 
 
 def _resolve_columns(columns, names: list[str]) -> list[int]:
@@ -196,16 +259,24 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
 def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     """Read a comma-separated numeric file into a DataMatrix.
 
+    A cell is a number when numpy's text parser reads it as a float (so
+    ``nan`` and ``inf`` are, ``1_000`` and ``NA`` are not). A column is a
+    label column when none of its data cells is a number, and a numeric
+    column when at least one is. Every cell of a column read must be a
+    finite number, or a DataError names its row (non-blank rows counted
+    from 1, header included) and column; a ragged row is named the same way.
+
     Parameters
     ----------
     path : str or Path
-        File to read. Comma separator, period decimal mark.
+        UTF-8 file (a byte-order mark is dropped), comma separator, period
+        decimal mark, cells optionally double-quoted; blank lines skipped.
     columns : sequence of str or int, optional
         Columns to keep, by label or by *1-based* position (matching the
-        command-line ``--columns 1-4`` syntax). Default: all columns.
+        command-line ``--columns 1-4`` syntax). Default: the numeric columns.
     header : bool, optional
         Whether the first row is a header. Default auto-detects: the first
-        row is treated as a header when any of its cells is non-numeric.
+        row is treated as a header when any of its cells is not a number.
 
     Returns
     -------
@@ -213,58 +284,59 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
         Selected columns in the requested order, row order preserved.
     """
     path = Path(path)
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise DataError(f"{path}: file is empty")
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        rows = filter(None, reader)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        if header is None:
+            header = not all(_is_number(cell) for cell in first)
+        skip = reader.line_num if header else 0
+        sample = next(rows, None) if header else first
 
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        ragged = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise DataError(
-            f"{path}: row {ragged + 1} has {len(rows[ragged])} cells, expected {width}"
-        )
-
-    if header is None:
-        header = not all(_looks_numeric(cell) for cell in rows[0])
-    if header:
-        names = [cell.strip() for cell in rows[0]]
-        body = rows[1:]
-    else:
-        names = [f"x{j + 1}" for j in range(width)]
-        body = rows
+    width = len(first)
+    names = ([cell.strip() for cell in first] if header
+             else [f"x{j + 1}" for j in range(width)])
     if len(set(names)) != width:
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise DataError(f"{path}: duplicate column labels: {', '.join(dupes)}")
-    if not body:
+    if sample is None:
         raise DataError(f"{path}: no data rows")
 
     if columns is None:
-        # keep only the columns that parse as numeric throughout (drops label
-        # columns such as a species name when no selection is given)
-        keep = [
-            j for j in range(width)
-            if all(_looks_numeric(row[j]) for row in body)
-        ]
-        if not keep:
-            raise DataError(f"{path}: no numeric columns found")
+        keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
+        unread = _label_converter()
     else:
         keep = _resolve_columns(list(columns), names)
         if not keep:
             raise DataError("empty column selection")
+        unread = _ignored
+    try:
+        # every column is parsed, so numpy checks each row's cell count
+        values = np.loadtxt(
+            path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
+            encoding="utf-8-sig", ndmin=2,
+            converters={j: unread for j in range(width) if j not in keep})
+        if values.shape[1] != width or not np.isfinite(values[:, keep]).all():
+            raise ValueError("a row or a cell could not be read")
+    except ValueError as exc:
+        _raise_fault(path, header, None if columns is None else keep)
+        raise DataError(f"{path}: {exc}") from None
+    if not keep:
+        raise DataError(f"{path}: no numeric columns found")
+    return DataMatrix(values[:, keep], tuple(names[j] for j in keep))
 
-    values = np.empty((len(body), len(keep)))
-    for i, row in enumerate(body):
-        for k, j in enumerate(keep):
-            cell = row[j].strip()
-            try:
-                values[i, k] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell {cell!r} at row "
-                    f"{i + 1 + int(header)}, column {j + 1}"
-                ) from None
-    return DataMatrix(values, tuple(names[j] for j in keep))
+
+def format_matrix(matrix, precision: int) -> str:
+    """CSV text of a matrix: one line per row, each value ``"%.{precision}g" % x``.
+
+    A 1-d input is one row. One row format is applied to all values at once.
+    """
+    matrix = np.atleast_2d(matrix)
+    n, k = matrix.shape
+    row = ",".join([f"%.{precision}g"] * k) + "\n"
+    return (row * n) % tuple(matrix.ravel().tolist())
 
 
 def mean_vector(data) -> np.ndarray:

@@ -11,12 +11,12 @@ bootstrap (:mod:`mvskew.bootstrap`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .data import SingularityError, as_data_matrix
+from .data import DataMatrix, SingularityError, as_data_matrix
 from .moments import third_moment
 
 __all__ = [
@@ -86,12 +86,28 @@ class SkewnessReport:
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper tail P(chi2_dof >= x) via the regularized incomplete gamma."""
+    """Upper tail P(chi2_dof >= x) = Q(dof/2, x/2), in closed form.
+
+    With y = x/2, Q = sum_{j<dof/2} e^-y y^j / j! for even dof, and
+    Q = erfc(sqrt y) + sum_{j<(dof-1)/2} e^-y y^(j+1/2) / Gamma(j+3/2) for
+    odd dof. Each of the dof//2 terms is formed from its logarithm, and
+    they are added with ``math.fsum``.
+    """
     if x < 0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    return float(special.gammaincc(dof / 2.0, x / 2.0))
+    if dof != int(dof):
+        raise ValueError(f"degrees of freedom must be an integer, got {dof}")
+    y = x / 2.0
+    if y == 0 or y == math.inf:
+        return float(y == 0)
+    log_y = math.log(y)
+    shift = 0.5 if dof % 2 else 0.0
+    head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    return math.fsum([head] + [
+        math.exp((j + shift) * log_y - y - math.lgamma(j + shift + 1.0))
+        for j in range(int(dof) // 2)])
 
 
 def fisher_skew(data) -> np.ndarray:
@@ -106,6 +122,19 @@ def fisher_skew(data) -> np.ndarray:
     return m3 / m2**1.5
 
 
+def _skewness_value(data: DataMatrix, measure: str) -> tuple[float, np.ndarray | None]:
+    """The Mardia or partial skewness value, without a p-value.
+
+    For the partial measure the Mori-Rohatgi-Szekely vector comes along;
+    for Mardia it is None.
+    """
+    if measure == "mardia":
+        cumulant = third_moment(data, "standardized").values
+        return float((cumulant**2).sum()), None
+    vector = mori_vector(data)
+    return float(vector @ vector), vector
+
+
 def mardia_skewness(data) -> SkewnessReport:
     """Mardia's skewness: squared Frobenius norm of the standardized cumulant.
 
@@ -113,8 +142,7 @@ def mardia_skewness(data) -> SkewnessReport:
     the chi-square upper-tail p-value.
     """
     data = as_data_matrix(data)
-    cumulant = third_moment(data, "standardized").values
-    value = float((cumulant**2).sum())
+    value, _ = _skewness_value(data, "mardia")
     statistic = data.n * value / 6.0
     dof = data.d * (data.d + 1) * (data.d + 2) // 6
     return SkewnessReport(
@@ -139,8 +167,7 @@ def partial_skewness(data) -> SkewnessReport:
     chi-square upper-tail p-value.
     """
     data = as_data_matrix(data)
-    vector = mori_vector(data)
-    value = float(vector @ vector)
+    value, vector = _skewness_value(data, "partial")
     statistic = data.n * value / (2.0 * (data.d + 2))
     return SkewnessReport(
         measure="partial",

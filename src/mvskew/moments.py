@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, as_data_matrix
+from .data import DataError, as_data_matrix, format_matrix
 
 __all__ = [
     "KINDS",
@@ -191,11 +191,9 @@ def block(m3: ThirdMomentMatrix, i: int) -> np.ndarray:
 def save_third_moment(m3: ThirdMomentMatrix, path, precision: int = 17) -> None:
     """Write to CSV: one `# kind=...` comment line, then d^2 rows of d values."""
     path = Path(path)
-    fmt = f"%.{precision}g"
     with open(path, "w") as handle:
         handle.write(f"# kind={m3.kind}\n")
-        for row in m3.values:
-            handle.write(",".join(fmt % x for x in row) + "\n")
+        handle.write(format_matrix(m3.values, precision))
 
 
 def load_third_moment(path) -> ThirdMomentMatrix:

@@ -1,0 +1,97 @@
+"""CSV round trips: what ``format_matrix`` writes, ``load_csv`` reads back.
+
+Property tests draw finite matrices, extreme values included, and vary the
+file's layout: header or none, quoted cells, CRLF line ends, blank lines and
+a trailing text label column. Values must come back bit for bit; a cell that
+is not a finite number must be named by its row and column.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from mvskew import DataError, load_csv
+from mvskew.data import format_matrix
+
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+         1.7976931348623157e308, 3.0, -17.0, 0.1)
+FINITE = st.one_of(st.sampled_from(EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+LABELS = st.sampled_from(["alpha", "beta", '"gamma, delta"', '"x ""y"""'])
+# the tests overwrite one file per example; its directory is not inspected
+REUSED_FILE = settings(max_examples=60, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def matrices(draw):
+    n, d = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    return np.array(draw(st.lists(FINITE, min_size=n * d, max_size=n * d))).reshape(n, d)
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return np.ascontiguousarray(values).view(np.int64).ravel().tolist()
+
+
+def per_cell(values, precision: int) -> str:
+    return "".join(",".join(f"%.{precision}g" % x for x in row) + "\n"
+                   for row in np.atleast_2d(values))
+
+
+@pytest.mark.parametrize("precision", [1, 6, 15, 17])
+def test_format_matrix_matches_per_cell_format(precision):
+    values = np.array([[-0.0, 5e-324, 1e308, -1e308],
+                       [3.0, -2.0, 1e16, 0.0],
+                       [1 / 3, -2.5e-300, 123456789.0, 0.1]])
+    values = np.vstack([values, np.random.default_rng(precision).standard_normal((5, 4))])
+    assert format_matrix(values, precision) == per_cell(values, precision)
+    assert format_matrix(values[0], precision) == per_cell(values[0], precision)
+    assert format_matrix(values[:, :1], precision) == per_cell(values[:, :1], precision)
+
+
+@REUSED_FILE
+@given(values=matrices(), header=st.booleans(), label=st.booleans(),
+       eol=st.sampled_from(["\n", "\r\n"]), data=st.data())
+def test_round_trip_is_bit_exact(tmp_path, values, header, label, eol, data):
+    n, d = values.shape
+    quoted = data.draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))
+    blank = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cells = [f'"{c}"' if q else c for c, q in
+             zip(format_matrix(values, 17).replace("\n", ",").split(","), quoted)]
+    lines = [",".join(cells[i * d:(i + 1) * d]) for i in range(n)]
+    if label:
+        lines = [f"{line},{data.draw(LABELS)}" for line in lines]
+    lines = [line + eol * (1 + gap) for line, gap in zip(lines, blank)]
+    if header:
+        names = [f"c{j + 1}" for j in range(d)] + ["kind"] * label
+        lines.insert(0, ",".join(names) + eol)
+    path = tmp_path / "matrix.csv"
+    path.write_bytes("".join(lines).encode())
+
+    loaded = load_csv(path, header=False if label and not header else None)
+    assert bits(loaded.values) == bits(values)
+    prefix = "c" if header else "x"
+    assert loaded.names == tuple(f"{prefix}{j + 1}" for j in range(d))
+
+
+@REUSED_FILE
+@given(values=matrices(), bad=st.sampled_from(["nan", "-NaN", "inf", "-Infinity",
+                                               "1e999", "1_000", "NA", ""]),
+       select=st.booleans(), data=st.data())
+def test_bad_cell_is_named(tmp_path, values, bad, select, data):
+    n, d = values.shape
+    assume(d > 1 or bad != "")  # an empty one-cell row is a blank line
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+    rows = [line.split(",") for line in format_matrix(values, 17).splitlines()]
+    rows[i][j] = bad
+    header = ",".join(f"c{k + 1}" for k in range(d))
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+
+    columns = list(range(1, d + 1)) if select else None
+    message = f"non-numeric cell {bad!r} at row {i + 2}, column {j + 1}"
+    with pytest.raises(DataError, match=re.escape(message) + "$"):
+        load_csv(path, columns=columns)

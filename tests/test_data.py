@@ -94,6 +94,54 @@ def test_load_bad_index(iris_path):
         load_csv(iris_path, columns=[9])
 
 
+def test_load_na_cell_in_numeric_column_is_named(tmp_path):
+    # with no selection, one NA cell must not drop its whole column
+    path = tmp_path / "na.csv"
+    path.write_text("a,b,c\n1,2,3\n4,NA,6\n7,8,9\n")
+    with pytest.raises(DataError, match=r"non-numeric cell 'NA' at row 3, column 2$"):
+        load_csv(path)
+
+
+def test_load_label_rule(tmp_path):
+    # a column with no number is a label column and drops out; one number
+    # makes it numeric, and then its first text cell is the fault
+    path = tmp_path / "labels.csv"
+    path.write_text("a,kind\n1,x\n2,y\n3,x\n")
+    assert load_csv(path).names == ("a",)
+    path.write_text("a,kind\n1,x\n2,y\n3,4\n")
+    with pytest.raises(DataError, match=r"'x' at row 2, column 2$"):
+        load_csv(path)
+    path.write_text("a,kind\nx,y\nz,w\n")
+    with pytest.raises(DataError, match="no numeric columns found"):
+        load_csv(path)
+
+
+def test_load_drops_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffa,b\n1,2\n3,5\n".encode())
+    assert load_csv(path).names == ("a", "b")
+    path.write_bytes("\ufeff1,2\n3,5\n".encode())
+    data = load_csv(path)
+    assert data.names == ("x1", "x2")
+    assert data.values.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+
+
+@pytest.mark.parametrize("columns", [None, [1, 2], ["b"]])
+@pytest.mark.parametrize("text, row, cells", [
+    ("a,b\n1,2\n3\n5,6\n", 3, 1),
+    ("a,b\n1,2\n3,4,5\n5,6\n", 3, 3),
+    ("a,b\n1\n3,4\n", 2, 1),
+    ("a,b\n1,2,3\n4,5,6\n", 2, 3),
+    ("a,b\n\n1,2\n\n3,4,\n", 3, 3),
+])
+def test_load_ragged_row_is_named(tmp_path, text, row, cells, columns):
+    # rows count the non-blank rows, header included
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=rf"row {row} has {cells} cells, expected 2$"):
+        load_csv(path, columns=columns)
+
+
 # ---------------------------------------------------------------------------
 # DataMatrix / SpdMatrix invariants
 # ---------------------------------------------------------------------------

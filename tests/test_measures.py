@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mvskew
 from mvskew import (
     SingularityError,
     chi2_sf,
@@ -214,10 +219,16 @@ def test_chi2_sf_at_zero():
         assert chi2_sf(0.0, dof) == 1.0
 
 
+def test_chi2_sf_at_infinity():
+    for dof in (1, 4, 20, 200):
+        assert chi2_sf(float("inf"), dof) == 0.0
+
+
 def test_chi2_sf_against_mpmath_oracle():
+    # dof 816 and 5984 are Mardia's at d = 16 and d = 32
     mpmath.mp.dps = 30
-    for x in (0.5, 3.2, 10.1225, 67.4305, 150.0, 260.0):
-        for dof in (1, 2, 4, 20, 111, 200):
+    for x in (0.5, 3.2, 10.1225, 67.4305, 150.0, 260.0, 900.0, 6000.0, 4e4):
+        for dof in (1, 2, 4, 20, 111, 200, 816, 5984):
             oracle = float(mpmath.gammainc(dof / 2.0, a=x / 2.0, regularized=True))
             value = chi2_sf(x, dof)
             assert abs(value - oracle) <= 1e-10 * max(oracle, 1e-300)
@@ -234,6 +245,18 @@ def test_chi2_sf_rejects_bad_input():
         chi2_sf(-1.0, 4)
     with pytest.raises(ValueError):
         chi2_sf(1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        chi2_sf(1.0, 2.5)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(mvskew.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, mvskew; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
