@@ -1,9 +1,11 @@
 """Bootstrap distribution, histogram, and p-value for a skewness measure.
 
 For each replicate, ``units`` rows are drawn from the data uniformly with
-replacement and the chosen measure is recomputed; the p-value uses the
-add-one rule (1 + #{replicate >= observed}) / (replicates + 1), so with R
-replicates it is always an integer multiple of 1/(R+1).
+replacement and the chosen measure is recomputed: each statistic is the
+``value`` of the public measure's report, whose parametric p-value is never
+read. The bootstrap p-value uses the add-one rule
+(1 + #{replicate >= observed}) / (replicates + 1), so with R replicates it
+is always an integer multiple of 1/(R+1).
 
 Replicate statistics are stored and reported raw (untransformed); for the
 Mardia and Directional measures they are nonnegative by construction.
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, PreconditionError, SingularityError, as_data_matrix
-from .measures import _skewness_value
-from .projection import max_skew
+from .measures import directional_skewness, mardia_skewness, partial_skewness
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
 
@@ -45,13 +46,6 @@ class BootstrapResult:
     histogram: list[tuple[float, float, int]]
     measure: str
     seed: int
-
-
-def _statistic(data: DataMatrix, measure: str) -> float:
-    if measure != "Directional":  # no p-value: the bootstrap discards it
-        return _skewness_value(data, measure.lower())[0]
-    basis = max_skew(data, iterations=DIRECTIONAL_ITERATIONS, components=1)
-    return float(basis.skewness[0] ** 2)
 
 
 def _sturges_histogram(values: np.ndarray) -> list[tuple[float, float, int]]:
@@ -109,7 +103,12 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     if replicates < 1:
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
 
-    observed = _statistic(data, measure)
+    report = {
+        "Directional": lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS),
+        "Partial": partial_skewness,
+        "Mardia": mardia_skewness,
+    }[measure]
+    observed = report(data).value
     values = np.empty(replicates)
     for r in range(replicates):
         rng = np.random.Generator(
@@ -118,7 +117,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         for _ in range(MAX_REDRAWS):
             rows = rng.integers(0, data.n, size=units)
             try:
-                values[r] = _statistic(DataMatrix(data.values[rows], data.names), measure)
+                values[r] = report(DataMatrix(data.values[rows], data.names)).value
                 break
             except SingularityError:
                 continue  # degenerate resample: redraw from the same stream

@@ -22,7 +22,7 @@ from .bootstrap import skew_boot
 from .data import (DataError, DataMatrix, PreconditionError, SingularityError,
                    format_matrix, load_csv)
 from .measures import fisher_skew, mardia_skewness, partial_skewness
-from .moments import ThirdMomentMatrix, save_third_moment, third_moment
+from .moments import save_third_moment, third_moment
 from .projection import ProjectionBasis, max_skew
 from .symmetrize import min_skew
 

@@ -39,7 +39,7 @@ __all__ = [
     "standardize",
 ]
 
-# relative eigenvalue floor below which a covariance counts as singular
+# relative eigenvalue floor below which an SpdMatrix counts as singular
 EIG_RTOL = 1e-10
 
 
@@ -138,9 +138,11 @@ def as_data_matrix(data) -> DataMatrix:
 class SpdMatrix:
     """A symmetric positive definite d x d matrix (e.g. a covariance).
 
-    ``spectrum`` is its symmetric eigendecomposition (ascending eigenvalues,
-    eigenvectors), solved once when the matrix is validated; the singularity
-    test in :func:`covariance` and :func:`inv_sqrt` reuse it.
+    Construction holds the package's one singularity test: SingularityError
+    unless the smallest eigenvalue exceeds EIG_RTOL times the largest (or
+    times the smallest positive float, when the largest is not positive).
+    ``spectrum`` is the symmetric eigendecomposition (ascending eigenvalues,
+    eigenvectors) that test solves; :func:`inv_sqrt` reuses it.
     """
 
     values: np.ndarray
@@ -156,9 +158,9 @@ class SpdMatrix:
         # store the exactly symmetric part
         values = (values + values.T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(values)
-        if eigvals[0] <= 0:
+        if eigvals[0] <= EIG_RTOL * max(eigvals[-1], np.finfo(float).tiny):
             raise SingularityError(
-                f"matrix is not positive definite (min eigenvalue {eigvals[0]:.3e})"
+                f"matrix is singular (eigenvalues {eigvals[0]:.3e} to {eigvals[-1]:.3e})"
             )
         for array in (values, eigvals, eigvecs):
             array.setflags(write=False)
@@ -244,7 +246,7 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
     for col in columns:
         if isinstance(col, (int, np.integer)):
             if not 1 <= col <= len(names):
-                raise DataError(
+                raise PreconditionError(
                     f"column index {col} out of range 1..{len(names)}"
                 )
             out.append(int(col) - 1)
@@ -252,7 +254,7 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
             try:
                 out.append(names.index(str(col)))
             except ValueError:
-                raise DataError(f"no column named {col!r}") from None
+                raise PreconditionError(f"no column named {col!r}") from None
     return out
 
 
@@ -269,7 +271,8 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     Parameters
     ----------
     path : str or Path
-        UTF-8 file (a byte-order mark is dropped), comma separator, period
+        UTF-8 file (a byte-order mark is dropped; a byte that is not UTF-8
+        is a DataError naming its byte offset), comma separator, period
         decimal mark, cells optionally double-quoted; blank lines skipped.
     columns : sequence of str or int, optional
         Columns to keep, by label or by *1-based* position (matching the
@@ -284,48 +287,60 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
         Selected columns in the requested order, row order preserved.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        rows = filter(None, reader)
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: file is empty")
-        if header is None:
-            header = not all(_is_number(cell) for cell in first)
-        skip = reader.line_num if header else 0
-        sample = next(rows, None) if header else first
-
-    width = len(first)
-    names = ([cell.strip() for cell in first] if header
-             else [f"x{j + 1}" for j in range(width)])
-    if len(set(names)) != width:
-        dupes = sorted({x for x in names if names.count(x) > 1})
-        raise DataError(f"{path}: duplicate column labels: {', '.join(dupes)}")
-    if sample is None:
-        raise DataError(f"{path}: no data rows")
-
-    if columns is None:
-        keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
-        unread = _label_converter()
-    else:
-        keep = _resolve_columns(list(columns), names)
-        if not keep:
-            raise DataError("empty column selection")
-        unread = _ignored
     try:
-        # every column is parsed, so numpy checks each row's cell count
-        values = np.loadtxt(
-            path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
-            encoding="utf-8-sig", ndmin=2,
-            converters={j: unread for j in range(width) if j not in keep})
-        if values.shape[1] != width or not np.isfinite(values[:, keep]).all():
-            raise ValueError("a row or a cell could not be read")
-    except ValueError as exc:
-        _raise_fault(path, header, None if columns is None else keep)
-        raise DataError(f"{path}: {exc}") from None
-    if not keep:
-        raise DataError(f"{path}: no numeric columns found")
-    return DataMatrix(values[:, keep], tuple(names[j] for j in keep))
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            rows = filter(None, reader)
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: file is empty")
+            if header is None:
+                header = not all(_is_number(cell) for cell in first)
+            skip = reader.line_num if header else 0
+            sample = next(rows, None) if header else first
+
+        width = len(first)
+        names = ([cell.strip() for cell in first] if header
+                 else [f"x{j + 1}" for j in range(width)])
+        if len(set(names)) != width:
+            dupes = sorted({x for x in names if names.count(x) > 1})
+            raise DataError(f"{path}: duplicate column labels: {', '.join(dupes)}")
+        if sample is None:
+            raise DataError(f"{path}: no data rows")
+
+        if columns is None:
+            keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
+            unread = _label_converter()
+        else:
+            keep = _resolve_columns(list(columns), names)
+            if not keep:
+                raise PreconditionError("empty column selection")
+            unread = _ignored
+        try:
+            # every column is parsed, so numpy checks each row's cell count
+            values = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
+                encoding="utf-8-sig", ndmin=2,
+                converters={j: unread for j in range(width) if j not in keep})
+            if values.shape[1] != width or not np.isfinite(values[:, keep]).all():
+                raise ValueError("a row or a cell could not be read")
+        except ValueError as exc:
+            _raise_fault(path, header, None if columns is None else keep)
+            raise DataError(f"{path}: {exc}") from None
+        if not keep:
+            raise DataError(f"{path}: no numeric columns found")
+        return DataMatrix(values[:, keep], tuple(names[j] for j in keep))
+    except UnicodeDecodeError:
+        # the decoder counts from the start of its read chunk: decode the
+        # whole file again for the offset in the file
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
+                f"byte offset {exc.start}"
+            ) from None
+        raise
 
 
 def format_matrix(matrix, precision: int) -> str:
@@ -350,45 +365,35 @@ def covariance(data) -> SpdMatrix:
     Raises
     ------
     SingularityError
-        If the covariance is numerically rank deficient; the message names
-        the near-null direction in terms of the column labels.
+        If the covariance fails :class:`SpdMatrix`'s singularity test; the
+        message names the near-null direction in terms of the column labels.
     """
     data = as_data_matrix(data)
     centered = data.values - data.values.mean(axis=0)
     cov = centered.T @ centered / data.n
-    cov = (cov + cov.T) / 2.0
     try:
-        spd = SpdMatrix(cov)
-        eigvals, eigvecs = spd.spectrum
+        return SpdMatrix(cov)
     except SingularityError:
-        # not even positive definite: solve again for the message below
+        # solve again, on this path only, to name the null direction
         eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals[0] <= EIG_RTOL * max(eigvals[-1], np.finfo(float).tiny):
-        direction = eigvecs[:, 0]
-        combo = " ".join(
-            f"{w:+.3f}*{name}" for w, name in zip(direction, data.names)
-        )
-        raise SingularityError(
-            f"covariance is singular along {combo} "
-            f"(eigenvalue {eigvals[0]:.3e})"
-        )
-    return spd
+    combo = " ".join(
+        f"{w:+.3f}*{name}" for w, name in zip(eigvecs[:, 0], data.names)
+    )
+    raise SingularityError(
+        f"covariance is singular along {combo} (eigenvalue {eigvals[0]:.3e})"
+    )
 
 
 def inv_sqrt(spd) -> np.ndarray:
     """Inverse of the symmetric positive definite square root.
 
-    Accepts an SpdMatrix or a plain symmetric array. The result R is
-    symmetric, positive definite, and satisfies R @ S @ R = I to 1e-10.
+    Accepts an SpdMatrix or a plain symmetric array, which must pass
+    :class:`SpdMatrix`'s singularity test. The result R is symmetric,
+    positive definite, and satisfies R @ S @ R = I to 1e-10.
     """
     if not isinstance(spd, SpdMatrix):
         spd = SpdMatrix(np.asarray(spd, dtype=float))
     eigvals, eigvecs = spd.spectrum
-    if eigvals[0] <= EIG_RTOL * eigvals[-1]:
-        raise SingularityError(
-            f"matrix too ill-conditioned for a stable inverse square root "
-            f"(eigenvalue ratio {eigvals[0] / eigvals[-1]:.3e})"
-        )
     root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
     return (root + root.T) / 2.0
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import DataMatrix, SingularityError, as_data_matrix
+from .data import SingularityError, as_data_matrix
 from .moments import third_moment
+from .projection import max_skew
 
 __all__ = [
     "SkewnessReport",
@@ -37,7 +39,9 @@ class SkewnessReport:
     ``value`` is a per-variable vector for the fisher measure and a scalar
     otherwise. ``vector`` carries the Mori-Rohatgi-Szekely vector for the
     partial measure. ``statistic``/``dof``/``pvalue`` are present only for
-    the measures with a parametric chi-square null (mardia, partial).
+    the measures with a parametric chi-square null (mardia, partial); the
+    p-value is computed on first read, so a caller that needs only
+    ``value`` (the bootstrap) never pays for it.
     """
 
     measure: str
@@ -45,7 +49,11 @@ class SkewnessReport:
     vector: np.ndarray | None = None
     statistic: float | None = None
     dof: int | None = None
-    pvalue: float | None = None
+
+    @cached_property
+    def pvalue(self) -> float | None:
+        """Chi-square upper tail of ``statistic``; None without a null."""
+        return None if self.dof is None else chi2_sf(self.statistic, self.dof)
 
     def to_dict(self) -> dict:
         out = {"measure": self.measure}
@@ -122,35 +130,19 @@ def fisher_skew(data) -> np.ndarray:
     return m3 / m2**1.5
 
 
-def _skewness_value(data: DataMatrix, measure: str) -> tuple[float, np.ndarray | None]:
-    """The Mardia or partial skewness value, without a p-value.
-
-    For the partial measure the Mori-Rohatgi-Szekely vector comes along;
-    for Mardia it is None.
-    """
-    if measure == "mardia":
-        cumulant = third_moment(data, "standardized").values
-        return float((cumulant**2).sum()), None
-    vector = mori_vector(data)
-    return float(vector @ vector), vector
-
-
 def mardia_skewness(data) -> SkewnessReport:
     """Mardia's skewness: squared Frobenius norm of the standardized cumulant.
 
     Returns a report with the statistic n*value/6, dof d(d+1)(d+2)/6, and
-    the chi-square upper-tail p-value.
+    the chi-square upper-tail p-value (computed on first read).
     """
     data = as_data_matrix(data)
-    value, _ = _skewness_value(data, "mardia")
-    statistic = data.n * value / 6.0
-    dof = data.d * (data.d + 1) * (data.d + 2) // 6
+    value = float((third_moment(data, "standardized").values ** 2).sum())
     return SkewnessReport(
         measure="mardia",
         value=value,
-        statistic=statistic,
-        dof=dof,
-        pvalue=chi2_sf(statistic, dof),
+        statistic=data.n * value / 6.0,
+        dof=data.d * (data.d + 1) * (data.d + 2) // 6,
     )
 
 
@@ -164,18 +156,17 @@ def partial_skewness(data) -> SkewnessReport:
     """Partial skewness: squared norm of the Mori-Rohatgi-Szekely vector.
 
     Returns a report with the statistic n*value/(2(d+2)), dof d, and the
-    chi-square upper-tail p-value.
+    chi-square upper-tail p-value (computed on first read).
     """
     data = as_data_matrix(data)
-    value, vector = _skewness_value(data, "partial")
-    statistic = data.n * value / (2.0 * (data.d + 2))
+    vector = mori_vector(data)
+    value = float(vector @ vector)
     return SkewnessReport(
         measure="partial",
         value=value,
         vector=vector,
-        statistic=statistic,
+        statistic=data.n * value / (2.0 * (data.d + 2)),
         dof=data.d,
-        pvalue=chi2_sf(statistic, data.d),
     )
 
 
@@ -185,9 +176,6 @@ def directional_skewness(data, iterations: int = 50) -> SkewnessReport:
     Delegates the search to :func:`mvskew.projection.max_skew` and squares
     the attained skewness of the best direction. No parametric p-value.
     """
-    from .projection import max_skew  # local import, projection builds on moments
-
-    data = as_data_matrix(data)
     basis = max_skew(data, iterations=iterations, components=1)
     return SkewnessReport(
         measure="directional",

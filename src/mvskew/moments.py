@@ -202,7 +202,7 @@ def load_third_moment(path) -> ThirdMomentMatrix:
     kind = None
     rows = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
@@ -211,7 +211,10 @@ def load_third_moment(path) -> ThirdMomentMatrix:
                 if key.strip() == "kind":
                     kind = val.strip()
                 continue
-            rows.append([float(cell) for cell in line.split(",")])
+            try:
+                rows.append([float(cell) for cell in line.split(",")])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {number}: {exc}") from None
     if kind is None:
         raise DataError(f"{path}: missing '# kind=' header line")
     return ThirdMomentMatrix(np.array(rows), kind)

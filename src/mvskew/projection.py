@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, PreconditionError, as_data_matrix
-from .moments import ThirdMomentMatrix, _third_products, transform_third
+from .moments import third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew", "skewness_of_projection"]
 
@@ -156,13 +156,14 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
             f"of variables ({data.d}), got {components}"
         )
     z, root = data.whitening
-    cumulant = ThirdMomentMatrix(_third_products(z), "standardized")
+    cumulant = reduced = third_moment(data, "standardized")
 
     basis = np.eye(data.d)  # orthonormal basis of the not-yet-searched subspace
     found = []
-    for _ in range(components):
-        c, gamma, tried, settled = _search(transform_third(cumulant, basis.T).values,
-                                           iterations)
+    for j in range(components):
+        if j:  # K seen from the not-yet-searched subspace
+            reduced = transform_third(cumulant, basis.T)
+        c, gamma, tried, settled = _search(reduced.values, iterations)
         found.append((basis @ c, gamma, tried, settled))
         # shrink the search space to the orthogonal complement
         basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]

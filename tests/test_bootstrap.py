@@ -3,7 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mvskew import PreconditionError, SingularityError, mardia_skewness, skew_boot
+from mvskew import (
+    DataMatrix,
+    PreconditionError,
+    SingularityError,
+    directional_skewness,
+    mardia_skewness,
+    partial_skewness,
+    skew_boot,
+)
+from mvskew.bootstrap import DIRECTIONAL_ITERATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -21,6 +30,26 @@ def test_pvalue_is_multiple_of_one_over_r_plus_one(iris, measure):
 def test_pvalue_bounds(iris):
     result = skew_boot(iris, replicates=4, units=10, measure="Mardia", seed=3)
     assert 1 / 5 <= result.pvalue <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# one definition per statistic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("measure, public", [
+    ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS)),
+    ("Partial", partial_skewness),
+    ("Mardia", mardia_skewness),
+])
+def test_statistics_are_the_public_measure_values(iris, measure, public):
+    result = skew_boot(iris, replicates=3, units=20, measure=measure, seed=5)
+    assert result.observed == public(iris).value
+    # replicate 0 redrawn from its own stream, as skew_boot draws it
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=5, spawn_key=(0,))))
+    rows = rng.integers(0, iris.n, size=20)
+    resample = DataMatrix(iris.values[rows], iris.names)
+    assert result.replicates[0] == public(resample).value
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,44 @@ def test_singular_data_exit_1(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("a,b,name\n1,2,caf\xe9\n3,5,x\n4,1,y\n".encode("latin-1"))
+    code = main(["skew", str(path), "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"mvskew: {path}: not UTF-8 text: byte 0xe9 at byte offset 16\n")
+
+
+def test_columns_by_name(tmp_path, iris_path):
+    # the README's example selection
+    code = main(["skew", str(iris_path), "--measure", "fisher",
+                 "--columns", "sepal_length,petal_width",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    keys = [line.split(",")[0] for line in
+            (tmp_path / "skew_fisher.csv").read_text().splitlines()]
+    assert keys == ["measure", "value.sepal_length", "value.petal_width"]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--columns", "0", "column index 0 out of range 1..5"),
+    ("--columns", "6", "column index 6 out of range 1..5"),
+    ("--columns", "sepal", "no column named 'sepal'"),
+    ("--columns", "3-1", "bad range '3-1' in selection"),
+    ("--columns", ",", "empty selection ','"),
+    ("--rows", "a", "row selection must be numeric, got 'a'"),
+    ("--rows", "0", "row 0 out of range 1..150"),
+    ("--rows", "151", "row 151 out of range 1..150"),
+])
+def test_selection_errors_exit_2(tmp_path, iris_path, capsys, option, value, message):
+    code = main(["skew", str(iris_path), "--measure", "fisher", option, value,
+                 "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"mvskew: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_subcommand_exit_2(tmp_path):
     assert main(["frobnicate", "x.csv"]) == 2
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from mvskew import (
     DataError,
     DataMatrix,
+    PreconditionError,
     SingularityError,
     SpdMatrix,
     covariance,
@@ -94,6 +95,45 @@ def test_load_bad_index(iris_path):
         load_csv(iris_path, columns=[9])
 
 
+def test_load_selection_errors_are_preconditions(iris_path):
+    for columns, message in (([0], "column index 0 out of range 1..5"),
+                             (["nope"], "no column named 'nope'"),
+                             ([], "empty column selection")):
+        with pytest.raises(PreconditionError, match=rf"^{message}$"):
+            load_csv(iris_path, columns=columns)
+
+
+def test_load_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("\n\n")
+    with pytest.raises(DataError, match=r"file is empty$"):
+        load_csv(path)
+
+
+def test_load_header_only(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b\n")
+    with pytest.raises(DataError, match=r"no data rows$"):
+        load_csv(path)
+
+
+LATIN_ROW = "4,5,caf\xe9\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("columns", [None, [1, 2]])
+@pytest.mark.parametrize("head", [
+    b"a,b,name\n",
+    b"a,b,name\n" + b"1,2,x\n" * 3000,
+    b"a,b,name\n1,2\n" + b"1,2,x\n" * 3000,
+], ids=["data-row-1", "past-8-KiB", "after-a-ragged-row"])
+def test_load_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, head, columns):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(head + LATIN_ROW)
+    offset = len(head) + LATIN_ROW.index(b"\xe9")
+    with pytest.raises(DataError, match=rf"not UTF-8 text: byte 0xe9 at byte offset {offset}$"):
+        load_csv(path, columns=columns)
+
+
 def test_load_na_cell_in_numeric_column_is_named(tmp_path):
     # with no selection, one NA cell must not drop its whole column
     path = tmp_path / "na.csv"
@@ -176,6 +216,13 @@ def test_spd_rejects_indefinite():
         SpdMatrix(np.array([[1.0, 0.0], [0.0, -2.0]]))
 
 
+def test_spd_rejects_numerically_singular():
+    # the one singularity test: min eigenvalue <= EIG_RTOL * max eigenvalue
+    with pytest.raises(SingularityError, match="singular"):
+        SpdMatrix(np.diag([1.0, 1e-12]))
+    assert SpdMatrix(np.diag([1.0, 1e-9])).spectrum[0][0] == 1e-9
+
+
 # ---------------------------------------------------------------------------
 # mean_vector
 # ---------------------------------------------------------------------------
@@ -216,6 +263,20 @@ def test_covariance_singularity_names_direction():
     x = rng.standard_normal(30)
     data = DataMatrix(np.column_stack([x, 2.0 * x]), ("a", "b"))
     with pytest.raises(SingularityError, match=r"\*(a|b)"):
+        covariance(data)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7])
+def test_covariance_near_singular_message(noise):
+    # exactly rank deficient, and positive definite below EIG_RTOL: both
+    # name the direction with the same wording
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(40)
+    y = 2.0 * x + noise * rng.standard_normal(40)
+    data = DataMatrix(np.column_stack([x, y]), ("a", "b"))
+    with pytest.raises(SingularityError,
+                       match=r"^covariance is singular along [-+]0\.894\*a "
+                             r"[-+]0\.447\*b \(eigenvalue -?\d\.\d{3}e[-+]\d+\)$"):
         covariance(data)
 
 

@@ -18,9 +18,11 @@ from mvskew import (
     mardia_skewness,
     mori_vector,
     partial_skewness,
+    skew_boot,
     standardize,
     third_moment,
 )
+from mvskew import measures
 
 
 def pooled_with_reflection(values):
@@ -208,6 +210,21 @@ def test_directional_dominates_coordinates(iris):
     report = directional_skewness(iris, iterations=50)
     assert report.value >= (fisher_skew(iris) ** 2).max() - 1e-10
     assert report.pvalue is None and report.statistic is None
+
+
+def test_pvalue_computed_on_first_read(iris, monkeypatch):
+    calls = []
+
+    def counted(x, dof, _real=measures.chi2_sf):
+        calls.append(dof)
+        return _real(x, dof)
+
+    monkeypatch.setattr(measures, "chi2_sf", counted)
+    report = mardia_skewness(iris)
+    skew_boot(iris, replicates=5, units=20, measure="Mardia", seed=1)
+    assert calls == []
+    assert report.pvalue == report.pvalue == chi2_sf(report.statistic, 20)
+    assert calls == [20]
 
 
 # ---------------------------------------------------------------------------

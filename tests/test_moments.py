@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -260,4 +261,12 @@ def test_load_requires_kind_header(tmp_path):
     path = tmp_path / "nokind.csv"
     path.write_text("1.0\n")
     with pytest.raises(DataError, match="kind"):
+        load_third_moment(path)
+
+
+def test_load_names_a_bad_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# kind=raw\n1.0\n\nx\n")
+    message = f"{path}: line 4: could not convert string to float: 'x'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)

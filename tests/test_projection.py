@@ -14,6 +14,7 @@ from mvskew import (
     standardize,
     third_moment,
 )
+from mvskew import projection
 
 
 def gamma_mixed(seed, n, d):
@@ -256,6 +257,19 @@ def test_max_skew_search_diagnostics():
     basis = max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
     assert basis.restarts == (6 * 6 + 8, 5 * 5 + 8, 4 * 4 + 8)
     assert all(0 <= c <= r for c, r in zip(basis.converged, basis.restarts))
+
+
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_max_skew_searches_component_1_on_k_itself(components, monkeypatch):
+    shapes = []
+
+    def counted(m3, a, _real=projection.transform_third):
+        shapes.append(a.shape)
+        return _real(m3, a)
+
+    monkeypatch.setattr(projection, "transform_third", counted)
+    max_skew(gamma_mixed(6, 200, 5), iterations=20, components=components)
+    assert shapes == [(5 - j, 5) for j in range(1, components)]
 
 
 def test_max_skew_zero_cumulant_cube():
