@@ -18,7 +18,6 @@ from .data import (
     covariance,
     inv_sqrt,
     load_csv,
-    mean_vector,
     standardize,
 )
 from .measures import (
@@ -34,13 +33,12 @@ from .moments import (
     ThirdMomentMatrix,
     block,
     cumulant_from_moments,
-    kronecker,
     load_third_moment,
     save_third_moment,
     third_moment,
     transform_third,
 )
-from .projection import ProjectionBasis, max_skew, skewness_of_projection
+from .projection import ProjectionBasis, max_skew
 from .symmetrize import min_skew, residual_skewness
 
 __version__ = "0.1.0"
@@ -62,19 +60,16 @@ __all__ = [
     "directional_skewness",
     "fisher_skew",
     "inv_sqrt",
-    "kronecker",
     "load_csv",
     "load_third_moment",
     "mardia_skewness",
     "max_skew",
-    "mean_vector",
     "min_skew",
     "mori_vector",
     "partial_skewness",
     "residual_skewness",
     "save_third_moment",
     "skew_boot",
-    "skewness_of_projection",
     "standardize",
     "third_moment",
     "transform_third",

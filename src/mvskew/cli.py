@@ -109,8 +109,10 @@ def _write_keyvalue(path: Path, items, precision: int) -> None:
 
 
 def _json_dump(path: Path, payload) -> None:
+    """Write the payload as sorted, indented JSON; numpy arrays become lists."""
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True,
+                  default=np.ndarray.tolist)
         handle.write("\n")
 
 
@@ -120,11 +122,8 @@ def _cmd_third(args) -> int:
     directory = _out_dir(args)
     if args.format == "json":
         path = directory / f"third_{args.kind}.json"
-        _json_dump(path, {
-            "kind": result.kind,
-            "d": result.d,
-            "values": [[float(x) for x in row] for row in result.values],
-        })
+        _json_dump(path, {"kind": result.kind, "d": result.d,
+                          "values": result.values})
     else:
         path = directory / f"third_{args.kind}.csv"
         save_third_moment(result, path, precision=args.precision)
@@ -142,9 +141,8 @@ def _cmd_skew(args) -> int:
             items = [("measure", "fisher")] + [
                 (f"value.{label}", v) for label, v in zip(data.names, values)
             ]
-            payload = {"measure": "fisher",
-                       "value": [float(v) for v in values],
-                       "variables": list(data.names)}
+            payload = {"measure": "fisher", "value": values,
+                       "variables": data.names}
         else:
             report = mardia_skewness(data) if name == "mardia" else partial_skewness(data)
             items = list(report.to_dict().items())
@@ -168,16 +166,12 @@ def _basis_files(basis: ProjectionBasis, directory: Path, prefix: str, args,
                  linear_name: str, proj_name: str) -> list[Path]:
     if args.format == "json":
         path = directory / f"{prefix}.json"
-        payload = {
-            linear_name: [[float(x) for x in row] for row in basis.directions],
-            "standardized_directions":
-                [[float(x) for x in row] for row in basis.standardized_directions],
-            "skewness": [float(x) for x in basis.skewness],
-            proj_name: [[float(x) for x in row] for row in basis.projected],
-        }
+        payload = {linear_name: basis.directions,
+                   "standardized_directions": basis.standardized_directions,
+                   "skewness": basis.skewness,
+                   proj_name: basis.projected}
         if basis.restarts:  # max_skew's per-component search diagnostics
-            payload.update(restarts=list(basis.restarts),
-                           converged=list(basis.converged))
+            payload.update(restarts=basis.restarts, converged=basis.converged)
         _json_dump(path, payload)
         return [path]
     paths = []
@@ -236,8 +230,8 @@ def _cmd_boot(args) -> int:
             "measure": result.measure,
             "observed": result.observed,
             "pvalue": result.pvalue,
-            "replicates": [float(x) for x in result.replicates],
-            "histogram": [[lo, hi, count] for lo, hi, count in result.histogram],
+            "replicates": result.replicates,
+            "histogram": result.histogram,
             "units": args.units,
             "seed": result.seed,
         })

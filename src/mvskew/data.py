@@ -33,7 +33,6 @@ __all__ = [
     "SpdMatrix",
     "load_csv",
     "format_matrix",
-    "mean_vector",
     "covariance",
     "inv_sqrt",
     "standardize",
@@ -112,26 +111,23 @@ class DataMatrix:
         root.setflags(write=False)
         return z, root
 
-    @classmethod
-    def from_array(cls, values, names: Sequence[str] | None = None) -> "DataMatrix":
-        """Wrap an array-like, inventing labels x1..xd when none are given."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values.reshape(-1, 1)
-        if names is None:
-            names = [f"x{j + 1}" for j in range(values.shape[1])]
-        return cls(values, tuple(names))
-
     def select_rows(self, indices: Sequence[int]) -> "DataMatrix":
         """Return the sub-matrix of the given 0-based row indices."""
         return DataMatrix(self.values[list(indices)], self.names)
 
 
 def as_data_matrix(data) -> DataMatrix:
-    """Coerce a DataMatrix or array-like into a DataMatrix."""
+    """Coerce a DataMatrix or array-like into a DataMatrix.
+
+    An array-like is read as floats, a 1-d one as a single column, and its
+    columns are labelled x1..xd.
+    """
     if isinstance(data, DataMatrix):
         return data
-    return DataMatrix.from_array(data)
+    values = np.asarray(data, dtype=float)
+    if values.ndim == 1:
+        values = values.reshape(-1, 1)
+    return DataMatrix(values, tuple(f"x{j + 1}" for j in range(values.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -166,10 +162,6 @@ class SpdMatrix:
             array.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spectrum", (eigvals, eigvecs))
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[0]
 
 
 def _is_number(cell: str) -> bool:
@@ -352,11 +344,6 @@ def format_matrix(matrix, precision: int) -> str:
     n, k = matrix.shape
     row = ",".join([f"%.{precision}g"] * k) + "\n"
     return (row * n) % tuple(matrix.ravel().tolist())
-
-
-def mean_vector(data) -> np.ndarray:
-    """Arithmetic column means."""
-    return as_data_matrix(data).values.mean(axis=0)
 
 
 def covariance(data) -> SpdMatrix:

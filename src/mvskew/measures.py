@@ -10,7 +10,6 @@ bootstrap (:mod:`mvskew.bootstrap`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,29 +67,6 @@ class SkewnessReport:
             if attr is not None:
                 out[key] = attr if key == "dof" else float(attr)
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    def to_text(self, precision: int = 6) -> str:
-        """Flat key=value lines, one per field."""
-        fmt = f"%.{precision}g"
-
-        def show(x):
-            if np.ndim(x) == 0:
-                return fmt % x
-            return " ".join(fmt % v for v in x)
-
-        lines = [f"measure={self.measure}", f"value={show(self.value)}"]
-        if self.vector is not None:
-            lines.append(f"vector={show(self.vector)}")
-        if self.statistic is not None:
-            lines.append(f"statistic={show(self.statistic)}")
-        if self.dof is not None:
-            lines.append(f"dof={self.dof}")
-        if self.pvalue is not None:
-            lines.append(f"pvalue={show(self.pvalue)}")
-        return "\n".join(lines) + "\n"
 
 
 def chi2_sf(x: float, dof: int) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "cumulant_from_moments",
     "transform_third",
     "block",
-    "kronecker",
     "save_third_moment",
     "load_third_moment",
 ]
@@ -41,10 +40,10 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     Output is exactly invariant under index permutations. Raises if the
     input deviates from symmetry by more than SYMMETRY_RTOL relative.
     """
-    d = values.shape[0]
-    idx = np.indices((d, d, d)).reshape(3, -1)
-    srt = np.sort(idx, axis=0)
-    canon = values[srt[0], srt[1], srt[2]].reshape(d, d, d)
+    # gather at (lo, mid, hi) of each triple; mid = i + j + h - lo - hi
+    i, j, h = np.indices(values.shape)
+    lo, hi = np.minimum(np.minimum(i, j), h), np.maximum(np.maximum(i, j), h)
+    canon = values[lo, i + j + h - lo - hi, hi]
     scale = max(np.abs(values).max(), 1.0)
     if np.abs(canon - values).max() > SYMMETRY_RTOL * scale:
         raise DataError("matrix violates third-moment index symmetry")
@@ -60,7 +59,11 @@ def _third_products(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThirdMomentMatrix:
-    """A d^2 x d third moment/cumulant matrix with its kind tag."""
+    """A d^2 x d third moment/cumulant matrix with its kind tag.
+
+    Construction checks that d >= 1, every entry is finite and the entries
+    are index-symmetric, and stores the exactly symmetric matrix.
+    """
 
     values: np.ndarray
     kind: str
@@ -72,8 +75,11 @@ class ThirdMomentMatrix:
         if values.ndim != 2:
             raise DataError("expected a 2-d array")
         rows, d = values.shape
-        if rows != d * d:
-            raise DataError(f"expected shape (d^2, d), got {values.shape}")
+        if d == 0 or rows != d * d:
+            raise DataError(f"expected shape (d^2, d) with d >= 1, got {values.shape}")
+        if not np.isfinite(values).all():
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
         values = _canonical(values.reshape(d, d, d)).reshape(d * d, d)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -116,12 +122,6 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
     return ThirdMomentMatrix(_third_products(rows), kind)
 
 
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product with ((i-1)r+k, (j-1)s+l) = a[i,j] b[k,l] layout."""
-    return np.kron(np.atleast_2d(np.asarray(a, dtype=float)),
-                   np.atleast_2d(np.asarray(b, dtype=float)))
-
-
 def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:
     """Third cumulant from raw moments.
 
@@ -143,10 +143,10 @@ def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:
     vec_m2 = m2.reshape(d * d, 1, order="F")
     values = (
         m3.values
-        - kronecker(m2, col)
-        - kronecker(col, m2)
+        - np.kron(m2, col)
+        - np.kron(col, m2)
         - vec_m2 @ row
-        + 2.0 * kronecker(kronecker(col, row), col)
+        + 2.0 * np.kron(np.kron(col, row), col)
     )
     return ThirdMomentMatrix(values, "central")
 
@@ -215,6 +215,9 @@ def load_third_moment(path) -> ThirdMomentMatrix:
                 rows.append([float(cell) for cell in line.split(",")])
             except ValueError as exc:
                 raise DataError(f"{path}: line {number}: {exc}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise DataError(f"{path}: line {number}: {len(rows[-1])} cells, "
+                                f"expected {len(rows[0])}")
     if kind is None:
         raise DataError(f"{path}: missing '# kind=' header line")
     return ThirdMomentMatrix(np.array(rows), kind)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, PreconditionError, as_data_matrix
+from .data import PreconditionError, as_data_matrix
 from .moments import third_moment, transform_third
 
-__all__ = ["ProjectionBasis", "max_skew", "skewness_of_projection"]
+__all__ = ["ProjectionBasis", "max_skew"]
 
 # fixed seed for the random restarts: results are deterministic by contract
 RESTART_SEED = 20240611
@@ -51,25 +51,6 @@ class ProjectionBasis:
     projected: np.ndarray
     restarts: tuple[int, ...] = ()
     converged: tuple[int, ...] = ()
-
-
-def skewness_of_projection(data, c) -> float:
-    """Signed sample skewness of the projection of the data onto c.
-
-    Scale invariant in c; c and 2c give identical output.
-    """
-    data = as_data_matrix(data)
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if c.shape[0] != data.d:
-        raise DataError(f"direction length {c.shape[0]} does not match d={data.d}")
-    if not np.any(c):
-        raise DataError("direction must be nonzero")
-    y = data.values @ c
-    centered = y - y.mean()
-    m2 = (centered**2).mean()
-    if m2 <= 0:
-        raise DataError("projection has zero variance")
-    return float((centered**3).mean() / m2**1.5)
 
 
 def _restart_directions(cumulant: np.ndarray) -> np.ndarray:

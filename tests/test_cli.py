@@ -49,6 +49,19 @@ def test_skew_json_format(tmp_path, iris_path):
     assert len(payload["vector"]) == 4
 
 
+def test_skew_fisher_json_equals_library(tmp_path, iris_path, iris):
+    code = main(["skew", str(iris_path), "--measure", "fisher",
+                 "--columns", "1-4", "--format", "json",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "skew_fisher.json").read_text())
+    assert set(payload) == {"measure", "value", "variables"}
+    assert payload["measure"] == "fisher"
+    assert payload["variables"] == list(iris.names)
+    # JSON round-trips floats, so the written values are the library's exactly
+    assert np.array_equal(payload["value"], mvskew.fisher_skew(iris))
+
+
 def test_skew_rows_selection(tmp_path, iris_path):
     code = main(["skew", str(iris_path), "--measure", "fisher",
                  "--columns", "1-4", "--rows", "1-50",
@@ -148,6 +161,22 @@ def test_minskew_outputs(tmp_path, iris_path):
     projections = np.loadtxt(tmp_path / "minskew_projections.csv", delimiter=",")
     assert linear.shape == (4, 2)
     assert projections.shape == (150, 2)
+
+
+def test_minskew_json_equals_library(tmp_path, iris_path, iris):
+    code = main(["minskew", str(iris_path), "--dimension", "2",
+                 "--columns", "1-4", "--format", "json",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "minskew.json").read_text())
+    basis = mvskew.min_skew(iris, dimension=2)
+    expected = {"linear": basis.directions,
+                "standardized_directions": basis.standardized_directions,
+                "skewness": basis.skewness,
+                "projections": basis.projected}
+    assert set(payload) == set(expected)
+    for key, array in expected.items():
+        assert np.array_equal(payload[key], array), key
 
 
 def test_minskew_dimension_bound_exit_2(tmp_path, iris_path, capsys):

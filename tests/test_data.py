@@ -12,12 +12,12 @@ from mvskew import (
     inv_sqrt,
     load_csv,
     mardia_skewness,
-    mean_vector,
     min_skew,
     partial_skewness,
     standardize,
     third_moment,
 )
+from mvskew.data import as_data_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +188,12 @@ def test_load_ragged_row_is_named(tmp_path, text, row, cells, columns):
 
 def test_data_matrix_rejects_nan():
     with pytest.raises(DataError, match="non-finite"):
-        DataMatrix.from_array([[1.0, np.nan], [2.0, 3.0]])
+        as_data_matrix([[1.0, np.nan], [2.0, 3.0]])
 
 
 def test_data_matrix_rejects_single_row():
     with pytest.raises(DataError):
-        DataMatrix.from_array([[1.0, 2.0]])
+        as_data_matrix([[1.0, 2.0]])
 
 
 def test_data_matrix_rejects_duplicate_names():
@@ -221,26 +221,6 @@ def test_spd_rejects_numerically_singular():
     with pytest.raises(SingularityError, match="singular"):
         SpdMatrix(np.diag([1.0, 1e-12]))
     assert SpdMatrix(np.diag([1.0, 1e-9])).spectrum[0][0] == 1e-9
-
-
-# ---------------------------------------------------------------------------
-# mean_vector
-# ---------------------------------------------------------------------------
-
-def test_mean_symmetric_pair():
-    assert_allclose(mean_vector([[0.0, 0.0], [2.0, 2.0]]), [1.0, 1.0])
-
-
-def test_mean_iris_sepal_length(iris):
-    # oracle: plain-Python arithmetic over the public values
-    expected = sum(float(x) for x in iris.values[:, 0]) / 150.0
-    assert abs(expected - 5.8433) < 1e-4
-    assert_allclose(mean_vector(iris)[0], expected, atol=1e-12)
-
-
-def test_mean_constant_column():
-    data = DataMatrix.from_array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]])
-    assert mean_vector(data)[0] == 7.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -303,18 +302,3 @@ def test_affine_invariance_directional():
         b = rng.standard_normal(3)
         value = directional_skewness(data @ a.T + b, iterations=100).value
         assert abs(value - base) < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-# ---------------------------------------------------------------------------
-
-def test_report_to_text_and_json(iris):
-    report = partial_skewness(iris)
-    text = report.to_text()
-    assert "measure=partial" in text
-    assert "pvalue=" in text
-    payload = json.loads(report.to_json())
-    assert payload["measure"] == "partial"
-    assert payload["dof"] == 4
-    assert len(payload["vector"]) == 4

@@ -8,16 +8,16 @@ from numpy.testing import assert_allclose
 from mvskew import (
     DataError,
     DataMatrix,
+    ThirdMomentMatrix,
     block,
     cumulant_from_moments,
-    kronecker,
     load_third_moment,
-    mean_vector,
     save_third_moment,
     standardize,
     third_moment,
     transform_third,
 )
+from mvskew.moments import SYMMETRY_RTOL
 
 
 def pooled_with_reflection(values: np.ndarray) -> np.ndarray:
@@ -71,9 +71,28 @@ def test_summation_order_stability(iris):
 
 def test_rejects_asymmetric_matrix():
     values = np.arange(8.0).reshape(4, 2)
-    from mvskew import ThirdMomentMatrix
     with pytest.raises(DataError, match="symmetry"):
         ThirdMomentMatrix(values, "raw")
+
+
+def test_canonical_keeps_the_sorted_index_value():
+    # each entry takes the value at its sorted index triple, also when the
+    # input is only symmetric to within SYMMETRY_RTOL
+    d = 5
+    rng = np.random.default_rng(5)
+    symmetric = third_moment(rng.gamma(1.5, size=(40, d)), "central").tensor()
+    v = symmetric * (1 + 0.1 * SYMMETRY_RTOL * rng.uniform(-1, 1, symmetric.shape))
+    expected = np.empty_like(v)
+    for idx in np.ndindex(v.shape):
+        expected[idx] = v[tuple(sorted(idx))]
+    assert np.array_equal(ThirdMomentMatrix(v.reshape(d * d, d), "raw").tensor(),
+                          expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rejects_empty_matrix():
+    with pytest.raises(DataError, match=r"d >= 1, got \(0, 0\)"):
+        ThirdMomentMatrix(np.zeros((0, 0)), "raw")
 
 
 def test_standardized_equals_raw_of_standardized(iris):
@@ -116,33 +135,6 @@ def test_block_out_of_range(iris):
 
 
 # ---------------------------------------------------------------------------
-# kronecker
-# ---------------------------------------------------------------------------
-
-def test_kronecker_scalar_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert_allclose(kronecker([[1.0]], b), b)
-
-
-def test_kronecker_identities():
-    assert_allclose(kronecker(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kronecker_row_vector_expansion():
-    c = np.array([[1.0, 0.0]])  # e1' for d=2
-    assert_allclose(kronecker(c, c), [[1.0, 0.0, 0.0, 0.0]])
-
-
-def test_kronecker_block_layout():
-    a = np.array([[1.0, 2.0]]).T  # column
-    b = np.array([[10.0, 20.0], [30.0, 40.0]])
-    out = kronecker(a, b)
-    assert out.shape == (4, 2)
-    assert_allclose(out[:2], b)
-    assert_allclose(out[2:], 2 * b)
-
-
-# ---------------------------------------------------------------------------
 # cumulant identity
 # ---------------------------------------------------------------------------
 
@@ -159,7 +151,7 @@ def test_cumulant_identity_zero_mean():
 def test_cumulant_identity_matches_central_path(iris):
     m3 = third_moment(iris, "raw")
     m2 = iris.values.T @ iris.values / iris.n
-    out = cumulant_from_moments(m3, m2, mean_vector(iris))
+    out = cumulant_from_moments(m3, m2, iris.values.mean(axis=0))
     expected = third_moment(iris, "central")
     assert np.abs(out.values - expected.values).max() < 1e-10
     assert out.kind == "central"
@@ -169,7 +161,7 @@ def test_cumulant_identity_symmetric_univariate():
     data = np.array([[0.0], [1.0], [2.0]])
     m3 = third_moment(data, "raw")
     m2 = data.T @ data / 3
-    out = cumulant_from_moments(m3, m2, mean_vector(data))
+    out = cumulant_from_moments(m3, m2, data.mean(axis=0))
     assert np.abs(out.values).max() < 1e-14
 
 
@@ -194,9 +186,9 @@ def test_transform_single_direction(iris):
     m3 = third_moment(iris, "central")
     c = np.array([0.5, 0.5, 0.5, 0.5])
     out = transform_third(m3, c.reshape(1, -1))
-    expected = kronecker(c.reshape(1, -1), c.reshape(1, -1)) @ m3.values @ c
+    expected = np.kron(c, c) @ m3.values @ c
     assert out.values.shape == (1, 1)
-    assert_allclose(out.values[0, 0], expected[0], atol=1e-12)
+    assert_allclose(out.values[0, 0], expected, atol=1e-12)
     # two-path: third central moment of the explicitly projected data
     centered = iris.values - iris.values.mean(axis=0)
     projected = centered @ c
@@ -268,5 +260,23 @@ def test_load_names_a_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# kind=raw\n1.0\n\nx\n")
     message = f"{path}: line 4: could not convert string to float: 'x'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_third_moment(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cell", ["1e999", "nan"])
+def test_load_rejects_a_non_finite_entry(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"# kind=raw\n{cell}\n")
+    with pytest.raises(DataError, match=r"^non-finite entry at row 1, column 1$"):
+        load_third_moment(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_names_a_ragged_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("# kind=raw\n1\n2,3\n")
+    message = f"{path}: line 3: 2 cells, expected 1"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)

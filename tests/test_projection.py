@@ -2,15 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from mvskew import (
-    DataError,
     PreconditionError,
-    fisher_skew,
-    kronecker,
     max_skew,
-    skewness_of_projection,
     standardize,
     third_moment,
 )
@@ -91,43 +86,6 @@ def grid_best_direction(values, step_deg=1.0):
 
 
 # ---------------------------------------------------------------------------
-# skewness_of_projection
-# ---------------------------------------------------------------------------
-
-def test_coordinate_projection_is_fisher(iris):
-    g = fisher_skew(iris)
-    for j in range(4):
-        c = np.zeros(4)
-        c[j] = 1.0
-        assert abs(skewness_of_projection(iris, c) - g[j]) < 1e-12
-
-
-def test_sign_flip(iris):
-    c = np.array([0.3, -0.2, 0.8, 0.1])
-    assert_allclose(skewness_of_projection(iris, c),
-                    -skewness_of_projection(iris, -c), atol=1e-12)
-
-
-def test_scale_invariance(iris):
-    c = np.array([1.0, 2.0, -1.0, 0.5])
-    assert abs(skewness_of_projection(iris, c)
-               - skewness_of_projection(iris, 2.0 * c)) < 1e-12
-
-
-def test_matches_explicit_projection(iris):
-    rng = np.random.default_rng(21)
-    c = rng.standard_normal(4)
-    projected = iris.values @ c
-    assert abs(skewness_of_projection(iris, c)
-               - fisher_skew(projected.reshape(-1, 1))[0]) < 1e-12
-
-
-def test_zero_vector_rejected(iris):
-    with pytest.raises(DataError, match="nonzero"):
-        skewness_of_projection(iris, np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
 # max_skew
 # ---------------------------------------------------------------------------
 
@@ -164,7 +122,7 @@ def test_max_skew_cubic_form_representation(iris):
     k3z = third_moment(iris, "standardized").values
     for j in range(2):
         c = basis.standardized_directions[:, j]
-        form = (kronecker(c.reshape(1, -1), c.reshape(1, -1)) @ k3z @ c).item()
+        form = np.kron(c, c) @ k3z @ c
         assert abs(basis.skewness[j] ** 2 - form**2) < 1e-10
 
 

@@ -1,6 +1,8 @@
-"""Repository-level checks: the demos run, and modules share no private names."""
+"""Repository-level checks: the demos run, modules share no private names,
+and the public surface is the pinned list below."""
 
 import ast
+import importlib
 import os
 import shutil
 import subprocess
@@ -43,3 +45,31 @@ def test_no_module_imports_a_private_name_from_another():
                               f"import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert offenders == []
+
+
+# Adding a public name means adding it here.
+PUBLIC = [
+    "BootstrapResult", "DataError", "DataMatrix", "PreconditionError",
+    "ProjectionBasis", "SingularityError", "SkewnessReport", "SpdMatrix",
+    "ThirdMomentMatrix", "block", "chi2_sf", "covariance",
+    "cumulant_from_moments", "directional_skewness", "fisher_skew", "inv_sqrt",
+    "load_csv", "load_third_moment", "mardia_skewness", "max_skew", "min_skew",
+    "mori_vector", "partial_skewness", "residual_skewness", "save_third_moment",
+    "skew_boot", "standardize", "third_moment", "transform_third",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(mvskew.__all__) == PUBLIC
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from mvskew import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("[!_]*.py")))
+def test_submodule_all_names_exist(module):
+    module = importlib.import_module(f"mvskew.{module}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
