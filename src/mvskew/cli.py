@@ -4,8 +4,8 @@ Subcommands mirror the library: ``third`` (moment matrices), ``skew``
 (fisher/mardia/partial reports), ``maxskew`` (most-skewed projections),
 ``minskew`` (least-skewed projections), ``boot`` (bootstrap p-values).
 Exit status is 0 on success, 2 on bad usage or a library
-``PreconditionError``, 1 on other data and computation errors, with a
-one-line diagnostic on stderr.
+``PreconditionError``, 1 on other data, computation and file-system
+errors, with a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -71,192 +71,119 @@ def _load(args) -> DataMatrix:
     header = {"auto": None, "yes": True, "no": False}[args.header]
     columns = _parse_selection(args.columns) if args.columns else None
     data = load_csv(args.input, columns=columns, header=header)
-    if args.rows:
-        data = data.select_rows(_parse_rows(args.rows, data.n))
-    return data
+    return data.select_rows(_parse_rows(args.rows, data.n)) if args.rows else data
 
 
-def _out_dir(args) -> Path:
+def _cell(value, precision: int) -> str:
+    """One value as text: strings and integers as they are, other numbers
+    at ``precision`` significant digits, arrays space-separated."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return " ".join(_cell(x, precision) for x in np.asarray(value).ravel())
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
+    return f"%.{precision}g" % value
+
+
+def _rows(rows, precision: int) -> str:
+    """CSV text with one line per row of cells, e.g. key,value pairs."""
+    return "".join(",".join(_cell(v, precision) for v in row) + "\n" for row in rows)
+
+
+def _summary(items: dict, precision: int) -> None:
+    print(", ".join(f"{key}={_cell(v, precision)}" for key, v in items.items()))
+
+
+def _write(args, name: str, text) -> None:
+    """Write one output file and print ``wrote PATH``.
+
+    The output directory is created on first use. ``text`` is the file's
+    content; a dict is written as sorted, indented JSON with numpy arrays as
+    lists, and a function is called with the path to write the file itself.
+    """
     directory = Path(args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or ".")
     directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _fmt(precision: int):
-    return lambda x: f"%.{precision}g" % x
-
-
-def _write_matrix(path: Path, matrix: np.ndarray, precision: int, header=None) -> None:
-    with open(path, "w") as handle:
-        if header:
-            handle.write(",".join(header) + "\n")
-        handle.write(format_matrix(matrix, precision))
-
-
-def _write_keyvalue(path: Path, items, precision: int) -> None:
-    show = _fmt(precision)
-
-    def render(value):
-        if isinstance(value, (list, tuple, np.ndarray)):
-            return " ".join(show(x) for x in np.asarray(value).ravel())
-        if isinstance(value, (int, np.integer)) or isinstance(value, str):
-            return str(value)
-        return show(value)
-
-    with open(path, "w") as handle:
-        for key, value in items:
-            handle.write(f"{key},{render(value)}\n")
-
-
-def _json_dump(path: Path, payload) -> None:
-    """Write the payload as sorted, indented JSON; numpy arrays become lists."""
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True,
-                  default=np.ndarray.tolist)
-        handle.write("\n")
-
-
-def _cmd_third(args) -> int:
-    data = _load(args)
-    result = third_moment(data, args.kind)
-    directory = _out_dir(args)
-    if args.format == "json":
-        path = directory / f"third_{args.kind}.json"
-        _json_dump(path, {"kind": result.kind, "d": result.d,
-                          "values": result.values})
+    path = directory / name
+    if callable(text):
+        text(path)
     else:
-        path = directory / f"third_{args.kind}.csv"
-        save_third_moment(result, path, precision=args.precision)
+        if isinstance(text, dict):
+            text = json.dumps(text, indent=2, sort_keys=True,
+                              default=np.ndarray.tolist) + "\n"
+        path.write_text(text)
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_skew(args) -> int:
-    data = _load(args)
+def _cmd_third(args, data: DataMatrix) -> None:
+    result = third_moment(data, args.kind)
+    name = f"third_{args.kind}.{args.format}"
+    if args.format == "json":
+        _write(args, name, {"kind": result.kind, "d": result.d,
+                            "values": result.values})
+    else:
+        _write(args, name, lambda path: save_third_moment(result, path, args.precision))
+
+
+def _cmd_skew(args, data: DataMatrix) -> None:
     wanted = ["fisher", "mardia", "partial"] if args.measure == "all" else [args.measure]
-    directory = _out_dir(args)
     for name in wanted:
         if name == "fisher":
             values = fisher_skew(data)
-            items = [("measure", "fisher")] + [
-                (f"value.{label}", v) for label, v in zip(data.names, values)
-            ]
-            payload = {"measure": "fisher", "value": values,
-                       "variables": data.names}
+            items = {"measure": "fisher",
+                     **{f"value.{label}": v for label, v in zip(data.names, values)}}
+            payload = {"measure": "fisher", "value": values, "variables": data.names}
         else:
             report = mardia_skewness(data) if name == "mardia" else partial_skewness(data)
-            items = list(report.to_dict().items())
-            payload = report.to_dict()
-        if args.format == "json":
-            path = directory / f"skew_{name}.json"
-            _json_dump(path, payload)
-        else:
-            path = directory / f"skew_{name}.csv"
-            _write_keyvalue(path, items, args.precision)
-        show = _fmt(args.precision)
-        summary = ", ".join(
-            f"{k}={show(v) if isinstance(v, float) else v}" for k, v in items
-        )
-        print(summary)
-        print(f"wrote {path}")
-    return 0
+            items = payload = report.to_dict()
+        _summary(items, args.precision)
+        _write(args, f"skew_{name}.{args.format}",
+               payload if args.format == "json" else _rows(items.items(), args.precision))
 
 
-def _basis_files(basis: ProjectionBasis, directory: Path, prefix: str, args,
-                 linear_name: str, proj_name: str) -> list[Path]:
+def _write_basis(args, basis: ProjectionBasis, prefix: str, linear_name: str) -> None:
     if args.format == "json":
-        path = directory / f"{prefix}.json"
         payload = {linear_name: basis.directions,
                    "standardized_directions": basis.standardized_directions,
                    "skewness": basis.skewness,
-                   proj_name: basis.projected}
+                   "projections": basis.projected}
         if basis.restarts:  # max_skew's per-component search diagnostics
             payload.update(restarts=basis.restarts, converged=basis.converged)
-        _json_dump(path, payload)
-        return [path]
-    paths = []
+        _write(args, f"{prefix}.json", payload)
+        return
     for stem, matrix in ((linear_name, basis.directions),
-                         ("skewness", basis.skewness.reshape(1, -1)),
-                         (proj_name, basis.projected)):
-        path = directory / f"{prefix}_{stem}.csv"
-        _write_matrix(path, matrix, args.precision)
-        paths.append(path)
-    return paths
+                         ("skewness", basis.skewness),
+                         ("projections", basis.projected)):
+        _write(args, f"{prefix}_{stem}.csv", format_matrix(matrix, args.precision))
 
 
-def _cmd_maxskew(args) -> int:
-    data = _load(args)
+def _cmd_maxskew(args, data: DataMatrix) -> None:
     basis = max_skew(data, iterations=args.iterations, components=args.components)
-    directory = _out_dir(args)
-    paths = _basis_files(basis, directory, "maxskew", args,
-                         "directions", "projections")
+    _write_basis(args, basis, "maxskew", "directions")
     # scatter data for external plotting: projections with column labels
-    scatter = directory / "maxskew_scatter.csv"
-    _write_matrix(scatter, basis.projected, args.precision,
-                  header=[f"proj{j + 1}" for j in range(basis.projected.shape[1])])
-    paths.append(scatter)
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    header = ",".join(f"proj{j + 1}" for j in range(basis.projected.shape[1]))
+    _write(args, "maxskew_scatter.csv",
+           header + "\n" + format_matrix(basis.projected, args.precision))
 
 
-def _cmd_minskew(args) -> int:
-    data = _load(args)
-    basis = min_skew(data, dimension=args.dimension)
-    directory = _out_dir(args)
-    paths = _basis_files(basis, directory, "minskew", args,
-                         "linear", "projections")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+def _cmd_minskew(args, data: DataMatrix) -> None:
+    _write_basis(args, min_skew(data, dimension=args.dimension), "minskew", "linear")
 
 
-def _cmd_boot(args) -> int:
-    data = _load(args)
+def _cmd_boot(args, data: DataMatrix) -> None:
     result = skew_boot(data, replicates=args.replicates, units=args.units,
                        measure=args.measure, seed=args.seed)
-    directory = _out_dir(args)
-    summary_items = [
-        ("measure", result.measure),
-        ("observed", result.observed),
-        ("pvalue", result.pvalue),
-        ("replicates", args.replicates),
-        ("units", args.units),
-        ("seed", result.seed),
-    ]
+    summary = {"measure": result.measure, "observed": result.observed,
+               "pvalue": result.pvalue}
+    _summary(summary, args.precision)
+    summary.update(replicates=args.replicates, units=args.units, seed=result.seed)
     if args.format == "json":
-        path = directory / "boot.json"
-        _json_dump(path, {
-            "measure": result.measure,
-            "observed": result.observed,
-            "pvalue": result.pvalue,
-            "replicates": result.replicates,
-            "histogram": result.histogram,
-            "units": args.units,
-            "seed": result.seed,
-        })
-        paths = [path]
-    else:
-        paths = []
-        path = directory / "boot_replicates.csv"
-        _write_matrix(path, result.replicates.reshape(-1, 1), args.precision)
-        paths.append(path)
-        path = directory / "boot_histogram.csv"
-        show = _fmt(args.precision)
-        with open(path, "w") as handle:
-            handle.write("lower,upper,count\n")
-            for lo, hi, count in result.histogram:
-                handle.write(f"{show(lo)},{show(hi)},{count}\n")
-        paths.append(path)
-        path = directory / "boot_summary.csv"
-        _write_keyvalue(path, summary_items, args.precision)
-        paths.append(path)
-    show = _fmt(args.precision)
-    print(f"measure={result.measure}, observed={show(result.observed)}, "
-          f"pvalue={show(result.pvalue)}")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+        _write(args, "boot.json", {**summary, "replicates": result.replicates,
+                                   "histogram": result.histogram})
+        return
+    _write(args, "boot_replicates.csv",
+           format_matrix(result.replicates.reshape(-1, 1), args.precision))
+    _write(args, "boot_histogram.csv",
+           _rows([("lower", "upper", "count"), *result.histogram], args.precision))
+    _write(args, "boot_summary.csv", _rows(summary.items(), args.precision))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,18 +246,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not 1 <= args.precision <= 15:
-        print(f"mvskew: precision must be in 1..15, got {args.precision}",
-              file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
-    except PreconditionError as exc:
+        if not 1 <= args.precision <= 15:
+            raise PreconditionError(f"precision must be in 1..15, got {args.precision}")
+        args.func(args, _load(args))
+    except (DataError, SingularityError, OSError) as exc:
         print(f"mvskew: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, SingularityError, FileNotFoundError) as exc:
-        print(f"mvskew: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, PreconditionError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -55,18 +55,10 @@ class SkewnessReport:
         return None if self.dof is None else chi2_sf(self.statistic, self.dof)
 
     def to_dict(self) -> dict:
-        out = {"measure": self.measure}
-        if np.ndim(self.value) == 0:
-            out["value"] = float(self.value)
-        else:
-            out["value"] = [float(x) for x in np.asarray(self.value)]
-        if self.vector is not None:
-            out["vector"] = [float(x) for x in self.vector]
-        for key in ("statistic", "dof", "pvalue"):
-            attr = getattr(self, key)
-            if attr is not None:
-                out[key] = attr if key == "dof" else float(attr)
-        return out
+        """The defined fields by name, numpy values left as they are."""
+        keys = ("measure", "value", "vector", "statistic", "dof", "pvalue")
+        return {key: getattr(self, key) for key in keys
+                if getattr(self, key) is not None}
 
 
 def chi2_sf(x: float, dof: int) -> float:

@@ -220,4 +220,9 @@ def load_third_moment(path) -> ThirdMomentMatrix:
                                 f"expected {len(rows[0])}")
     if kind is None:
         raise DataError(f"{path}: missing '# kind=' header line")
-    return ThirdMomentMatrix(np.array(rows), kind)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    try:
+        return ThirdMomentMatrix(np.array(rows), kind)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

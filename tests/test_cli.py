@@ -62,6 +62,18 @@ def test_skew_fisher_json_equals_library(tmp_path, iris_path, iris):
     assert np.array_equal(payload["value"], mvskew.fisher_skew(iris))
 
 
+def test_skew_partial_summary_line(tmp_path, iris_path, capsys):
+    code = main(["skew", str(iris_path), "--measure", "partial",
+                 "--columns", "1-4", "--precision", "4",
+                 "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "measure=partial, value=0.8098, vector=0.5301 0.4355 0.4105 0.4131, "
+        "statistic=10.12, dof=4, pvalue=0.0384",
+        f"wrote {tmp_path / 'skew_partial.csv'}",
+    ]
+
+
 def test_skew_rows_selection(tmp_path, iris_path):
     code = main(["skew", str(iris_path), "--measure", "fisher",
                  "--columns", "1-4", "--rows", "1-50",
@@ -241,7 +253,7 @@ def test_boot_directional_one_column_exit_2(tmp_path, iris_path, capsys):
             "got 1") in capsys.readouterr().err
 
 
-def test_boot_json(tmp_path, iris_path):
+def test_boot_json(tmp_path, iris_path, iris):
     code = main(["boot", str(iris_path), "--measure", "Mardia",
                  "--replicates", "5", "--units", "10", "--seed", "1",
                  "--columns", "1-4", "--format", "json",
@@ -251,6 +263,26 @@ def test_boot_json(tmp_path, iris_path):
     assert payload["measure"] == "Mardia"
     assert len(payload["replicates"]) == 5
     assert sum(h[2] for h in payload["histogram"]) == 5
+    # JSON round-trips floats, so the written values are the library's exactly
+    result = mvskew.skew_boot(iris, replicates=5, units=10, measure="Mardia", seed=1)
+    assert payload == {"measure": result.measure, "observed": result.observed,
+                       "pvalue": result.pvalue,
+                       "replicates": result.replicates.tolist(),
+                       "histogram": [list(row) for row in result.histogram],
+                       "units": 10, "seed": 1}
+
+
+def test_boot_histogram_counts_are_integers(tmp_path, iris_path):
+    code = main(["boot", str(iris_path), "--measure", "Mardia",
+                 "--replicates", "100", "--units", "150", "--columns", "1-4",
+                 "--precision", "1", "--output-dir", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "boot_histogram.csv").read_text().splitlines()
+    assert lines[0] == "lower,upper,count"
+    counts = [line.split(",")[2] for line in lines[1:]]
+    assert all(count.isdigit() for count in counts), counts
+    assert max(map(int, counts)) >= 10
+    assert sum(map(int, counts)) == 100
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +321,62 @@ def test_non_utf8_file_exit_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         f"mvskew: {path}: not UTF-8 text: byte 0xe9 at byte offset 16\n")
+
+
+def test_input_directory_exit_1(tmp_path, capsys):
+    code = main(["skew", str(tmp_path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mvskew: ") and err.count("\n") == 1, err
+    assert str(tmp_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_naming_a_file_exit_1(tmp_path, iris_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["skew", str(iris_path), "--measure", "mardia",
+                 "--columns", "1-4", "--output-dir", str(taken)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mvskew: ") and err.count("\n") == 1, err
+    assert str(taken) in err
+    assert taken.read_text() == ""
+
+
+# files each subcommand writes per --format, as listed in the README
+OUTPUT_FILES = {
+    ("third", "--kind", "standardized"): {
+        "csv": ["third_standardized.csv"], "json": ["third_standardized.json"]},
+    ("skew",): {
+        "csv": ["skew_fisher.csv", "skew_mardia.csv", "skew_partial.csv"],
+        "json": ["skew_fisher.json", "skew_mardia.json", "skew_partial.json"]},
+    ("maxskew", "--components", "2"): {
+        "csv": ["maxskew_directions.csv", "maxskew_skewness.csv",
+                "maxskew_projections.csv", "maxskew_scatter.csv"],
+        "json": ["maxskew.json", "maxskew_scatter.csv"]},
+    ("minskew", "--dimension", "2"): {
+        "csv": ["minskew_linear.csv", "minskew_skewness.csv",
+                "minskew_projections.csv"],
+        "json": ["minskew.json"]},
+    ("boot", "--measure", "Mardia", "--replicates", "5", "--units", "10"): {
+        "csv": ["boot_replicates.csv", "boot_histogram.csv", "boot_summary.csv"],
+        "json": ["boot.json"]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("job", OUTPUT_FILES, ids=lambda job: job[0])
+def test_written_files(tmp_path, iris_path, capsys, job, fmt):
+    out = tmp_path / "out"
+    code = main([job[0], str(iris_path), *job[1:], "--columns", "1-4",
+                 "--format", fmt, "--output-dir", str(out)])
+    assert code == 0
+    names = OUTPUT_FILES[job][fmt]
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out / name}" for name in names]
 
 
 def test_columns_by_name(tmp_path, iris_path):
@@ -355,8 +443,9 @@ def test_console_entry_point(tmp_path, iris_path):
          "--measure", "mardia", "--columns", "1-4",
          "--output-dir", str(tmp_path)],
         capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(mvskew.__file__).resolve().parents[1])),
     )
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
     assert "2.69722" in result.stdout
 
 

@@ -269,7 +269,22 @@ def test_load_names_a_bad_cell(tmp_path):
 def test_load_rejects_a_non_finite_entry(tmp_path, cell):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"# kind=raw\n{cell}\n")
-    with pytest.raises(DataError, match=r"^non-finite entry at row 1, column 1$"):
+    message = f"{path}: non-finite entry at row 1, column 1"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_third_moment(path)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("# kind=raw\n1,2\n3,4\n5,6\n",
+     "expected shape (d^2, d) with d >= 1, got (3, 2)"),
+    ("# kind=bogus\n1\n",
+     "kind must be one of ('raw', 'central', 'standardized'), got 'bogus'"),
+    ("# kind=raw\n", "no data rows"),
+], ids=["shape", "kind", "no-rows"])
+def test_load_names_the_file_of_an_invalid_matrix(tmp_path, text, reason):
+    path = tmp_path / "third.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {reason}')}$"):
         load_third_moment(path)
 
 
