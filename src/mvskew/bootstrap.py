@@ -13,7 +13,14 @@ Mardia and Directional measures they are nonnegative by construction.
 Determinism: row sampling uses numpy's counter-based Philox generator with
 one child stream per replicate derived from (seed, replicate index), and
 unbiased bounded integers, so identical inputs give bit-identical results
-regardless of how replicates are scheduled.
+regardless of how replicates are scheduled. Replicates are drawn and
+evaluated in blocks of max(1, BLOCK_ELEMENTS // (units * d^2)) resamples:
+the Mardia and Partial statistics of a block come from one stacked pass
+over its (block, units, d) resamples, the Directional one from a search per
+resample. Each value is bit-identical to the measure evaluated on its
+resample alone, so no value depends on the block size or on where a block
+starts. A singular resample is redrawn from its own stream, as often as
+MAX_REDRAWS allows.
 """
 
 from __future__ import annotations
@@ -22,8 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, PreconditionError, SingularityError, as_data_matrix
-from .measures import directional_skewness, mardia_skewness, partial_skewness
+from .data import PreconditionError, SingularityError, as_data_matrix
+from .measures import (
+    directional_skewness,
+    mardia_skewness,
+    mardia_values,
+    partial_skewness,
+    partial_values,
+)
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
 
@@ -34,6 +47,10 @@ DIRECTIONAL_ITERATIONS = 5
 
 # give up on a replicate after this many singular resamples
 MAX_REDRAWS = 100
+
+# resamples per block times units * d^2: a block's (block, units, d^2) array
+# of pairwise products holds at most 2^16 floats (512 KiB)
+BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,18 @@ def _sturges_histogram(values: np.ndarray) -> list[tuple[float, float, int]]:
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))
         for i in range(len(counts))
     ]
+
+
+def _directional_values(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Directional skewness of each nonsingular row set in a stack, one
+    search per set, with the boolean mask of the nonsingular sets."""
+    values, regular = [], np.ones(len(stack), dtype=bool)
+    for k, rows in enumerate(stack):
+        try:
+            values.append(directional_skewness(rows, DIRECTIONAL_ITERATIONS).value)
+        except SingularityError:
+            regular[k] = False
+    return values, regular
 
 
 def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) -> BootstrapResult:
@@ -103,28 +132,33 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     if replicates < 1:
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
 
-    report = {
-        "Directional": lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS),
-        "Partial": partial_skewness,
-        "Mardia": mardia_skewness,
+    report, evaluate = {
+        "Directional": (lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS),
+                        _directional_values),
+        "Partial": (partial_skewness, partial_values),
+        "Mardia": (mardia_skewness, mardia_values),
     }[measure]
     observed = report(data).value
     values = np.empty(replicates)
-    for r in range(replicates):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        )
+    size = max(1, BLOCK_ELEMENTS // (units * data.d**2))
+    for start in range(0, replicates, size):
+        streams = [
+            np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+            for r in range(start, min(start + size, replicates))
+        ]
+        pending = np.arange(len(streams))  # block positions without a value yet
         for _ in range(MAX_REDRAWS):
-            rows = rng.integers(0, data.n, size=units)
-            try:
-                values[r] = report(DataMatrix(data.values[rows], data.names)).value
+            rows = np.stack([streams[k].integers(0, data.n, size=units) for k in pending])
+            found, regular = evaluate(data.values[rows])
+            values[start + pending[regular]] = found
+            pending = pending[~regular]
+            if not len(pending):
                 break
-            except SingularityError:
-                continue  # degenerate resample: redraw from the same stream
         else:
             raise SingularityError(
-                f"replicate {r}: resample covariance still singular after "
-                f"{MAX_REDRAWS} redraws"
+                f"replicate {start + pending[0]}: resample covariance still "
+                f"singular after {MAX_REDRAWS} redraws"
             )
 
     exceed = int(np.count_nonzero(values >= observed))

@@ -9,8 +9,10 @@ This module owns the two conventions everything else inherits:
 
 Whitening -- the covariance, its inverse symmetric root and the whitened
 rows -- is computed on first use and cached on the :class:`DataMatrix`
-(``DataMatrix.whitening``); every standardized quantity in the package reads
-that cache. Argument checks that callers can get wrong (counts, dimensions,
+(``DataMatrix.whitening``); every standardized quantity of a DataMatrix
+reads that cache. :func:`whiten` whitens a stack of row sets, such as the
+bootstrap's resamples, through the same kernels and to the same bits.
+Argument checks that callers can get wrong (counts, dimensions,
 measure names) raise :class:`PreconditionError`.
 """
 
@@ -106,7 +108,7 @@ class DataMatrix:
         Raises SingularityError, uncached, when the covariance is singular.
         """
         root = inv_sqrt(covariance(self))
-        z = (self.values - self.values.mean(axis=0)) @ root
+        z = _centered(self.values) @ root
         z.setflags(write=False)
         root.setflags(write=False)
         return z, root
@@ -130,15 +132,53 @@ def as_data_matrix(data) -> DataMatrix:
     return DataMatrix(values, tuple(f"x{j + 1}" for j in range(values.shape[1])))
 
 
+def _centered(values: np.ndarray) -> np.ndarray:
+    """Each row set of a stack (..., n, d) less its column means."""
+    return values - values.mean(axis=-2, keepdims=True)
+
+
+def _gram(centered: np.ndarray) -> np.ndarray:
+    """1/n covariance of each centered row set of a stack (..., n, d)."""
+    return np.swapaxes(centered, -1, -2) @ centered / centered.shape[-2]
+
+
+def _spectrum(matrices: np.ndarray):
+    """Symmetric part, eigenpairs and singularity of each matrix of (..., d, d).
+
+    Raises DataError when a matrix is not symmetric to 1e-12 relative, and
+    returns its exactly symmetric part, the ascending eigenvalues, the
+    eigenvectors and the package's one singularity test: the smallest
+    eigenvalue is at most EIG_RTOL times the largest (or times the smallest
+    positive float, when the largest is not positive).
+    """
+    transposed = np.swapaxes(matrices, -1, -2)
+    scale = np.abs(matrices).max(axis=(-2, -1))
+    if np.any((scale > 0)
+              & (np.abs(matrices - transposed).max(axis=(-2, -1)) > 1e-12 * scale)):
+        raise DataError("matrix is not symmetric to within 1e-12 relative")
+    matrices = (matrices + transposed) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(matrices)
+    singular = eigvals[..., 0] <= EIG_RTOL * np.maximum(eigvals[..., -1],
+                                                        np.finfo(float).tiny)
+    return matrices, eigvals, eigvecs, singular
+
+
+def _inv_root(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square roots from eigenpairs of shape (..., d), (..., d, d)."""
+    root = (eigvecs / np.sqrt(eigvals)[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
+    return (root + np.swapaxes(root, -1, -2)) / 2.0
+
+
 @dataclass(frozen=True)
 class SpdMatrix:
     """A symmetric positive definite d x d matrix (e.g. a covariance).
 
-    Construction holds the package's one singularity test: SingularityError
-    unless the smallest eigenvalue exceeds EIG_RTOL times the largest (or
-    times the smallest positive float, when the largest is not positive).
-    ``spectrum`` is the symmetric eigendecomposition (ascending eigenvalues,
-    eigenvectors) that test solves; :func:`inv_sqrt` reuses it.
+    Construction applies the package's one singularity test, which
+    :func:`whiten` applies to stacks: SingularityError unless the smallest
+    eigenvalue exceeds EIG_RTOL times the largest (or times the smallest
+    positive float, when the largest is not positive). ``spectrum`` is the
+    symmetric eigendecomposition (ascending eigenvalues, eigenvectors) that
+    test solves; :func:`inv_sqrt` reuses it.
     """
 
     values: np.ndarray
@@ -148,13 +188,8 @@ class SpdMatrix:
         values = np.array(self.values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError(f"expected a square matrix, got shape {values.shape}")
-        scale = np.abs(values).max()
-        if scale > 0 and np.abs(values - values.T).max() > 1e-12 * scale:
-            raise DataError("matrix is not symmetric to within 1e-12 relative")
-        # store the exactly symmetric part
-        values = (values + values.T) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(values)
-        if eigvals[0] <= EIG_RTOL * max(eigvals[-1], np.finfo(float).tiny):
+        values, eigvals, eigvecs, singular = _spectrum(values)
+        if singular:
             raise SingularityError(
                 f"matrix is singular (eigenvalues {eigvals[0]:.3e} to {eigvals[-1]:.3e})"
             )
@@ -356,8 +391,7 @@ def covariance(data) -> SpdMatrix:
         message names the near-null direction in terms of the column labels.
     """
     data = as_data_matrix(data)
-    centered = data.values - data.values.mean(axis=0)
-    cov = centered.T @ centered / data.n
+    cov = _gram(_centered(data.values))
     try:
         return SpdMatrix(cov)
     except SingularityError:
@@ -380,9 +414,21 @@ def inv_sqrt(spd) -> np.ndarray:
     """
     if not isinstance(spd, SpdMatrix):
         spd = SpdMatrix(np.asarray(spd, dtype=float))
-    eigvals, eigvecs = spd.spectrum
-    root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-    return (root + root.T) / 2.0
+    return _inv_root(*spd.spectrum)
+
+
+def whiten(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened rows of each nonsingular row set in a stack (b, n, d).
+
+    Returns z, of shape (k, n, d) for the k row sets whose covariance passes
+    the singularity test, and the boolean mask of those sets. Each set is
+    whitened as :attr:`DataMatrix.whitening` whitens it alone, to the bit;
+    no root is formed for a singular set.
+    """
+    centered = _centered(stack)
+    _, eigvals, eigvecs, singular = _spectrum(_gram(centered))
+    regular = ~singular
+    return centered[regular] @ _inv_root(eigvals[regular], eigvecs[regular]), regular
 
 
 def standardize(data) -> DataMatrix:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import SingularityError, as_data_matrix
-from .moments import third_moment
+from .data import SingularityError, as_data_matrix, whiten
+from .moments import moment_stack, third_moment
 from .projection import max_skew
 
 __all__ = [
@@ -105,7 +105,7 @@ def mardia_skewness(data) -> SkewnessReport:
     the chi-square upper-tail p-value (computed on first read).
     """
     data = as_data_matrix(data)
-    value = float((third_moment(data, "standardized").values ** 2).sum())
+    value = _mardia(third_moment(data, "standardized").values)
     return SkewnessReport(
         measure="mardia",
         value=value,
@@ -114,10 +114,39 @@ def mardia_skewness(data) -> SkewnessReport:
     )
 
 
+def _mardia(moment: np.ndarray) -> float:
+    """Mardia's skewness of one standardized (d^2, d) third moment.
+
+    Takes one matrix, never a stack: numpy's summation order depends on
+    the array's shape, and a stacked sum can differ in the last bits.
+    """
+    return float((moment ** 2).sum())
+
+
+def mardia_values(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Mardia's skewness of each nonsingular row set in a stack (b, n, d).
+
+    Returns the values, in stack order, and the boolean mask of the row sets
+    with a nonsingular covariance. Each value is, to the bit, the ``value``
+    of :func:`mardia_skewness` on its row set alone.
+    """
+    z, regular = whiten(stack)
+    return [_mardia(moment) for moment in moment_stack(z)], regular
+
+
+def _mori(z: np.ndarray) -> np.ndarray:
+    """Mean of (z'z) z over the whitened rows of each row set in a stack (..., n, d)."""
+    return ((z**2).sum(axis=-1)[..., None] * z).mean(axis=-2)
+
+
+def _partial(vector: np.ndarray) -> float:
+    """Partial skewness of one Mori-Rohatgi-Szekely vector."""
+    return float(vector @ vector)
+
+
 def mori_vector(data) -> np.ndarray:
     """Mori-Rohatgi-Szekely skewness vector: mean of (z'z) z over rows."""
-    z = as_data_matrix(data).whitening[0]
-    return ((z**2).sum(axis=1)[:, None] * z).mean(axis=0)
+    return _mori(as_data_matrix(data).whitening[0])
 
 
 def partial_skewness(data) -> SkewnessReport:
@@ -128,7 +157,7 @@ def partial_skewness(data) -> SkewnessReport:
     """
     data = as_data_matrix(data)
     vector = mori_vector(data)
-    value = float(vector @ vector)
+    value = _partial(vector)
     return SkewnessReport(
         measure="partial",
         value=value,
@@ -136,6 +165,15 @@ def partial_skewness(data) -> SkewnessReport:
         statistic=data.n * value / (2.0 * (data.d + 2)),
         dof=data.d,
     )
+
+
+def partial_values(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Partial skewness of each nonsingular row set in a stack (b, n, d).
+
+    Returns what :func:`mardia_values` returns, for :func:`partial_skewness`.
+    """
+    z, regular = whiten(stack)
+    return [_partial(vector) for vector in _mori(z)], regular
 
 
 def directional_skewness(data, iterations: int = 50) -> SkewnessReport:

@@ -35,26 +35,47 @@ SYMMETRY_RTOL = 1e-8
 
 
 def _canonical(values: np.ndarray) -> np.ndarray:
-    """Map every entry of the (d,d,d) tensor to its sorted-index value.
+    """Map every entry of each (d,d,d) tensor of a stack to its sorted-index value.
 
-    Output is exactly invariant under index permutations. Raises if the
-    input deviates from symmetry by more than SYMMETRY_RTOL relative.
+    Output is exactly invariant under index permutations. Raises if a
+    tensor deviates from symmetry by more than SYMMETRY_RTOL relative.
     """
     # gather at (lo, mid, hi) of each triple; mid = i + j + h - lo - hi
-    i, j, h = np.indices(values.shape)
+    i, j, h = np.indices(values.shape[-3:])
     lo, hi = np.minimum(np.minimum(i, j), h), np.maximum(np.maximum(i, j), h)
-    canon = values[lo, i + j + h - lo - hi, hi]
-    scale = max(np.abs(values).max(), 1.0)
-    if np.abs(canon - values).max() > SYMMETRY_RTOL * scale:
+    canon = values[..., lo, i + j + h - lo - hi, hi]
+    tensor_axes = (-3, -2, -1)
+    scale = np.maximum(np.abs(values).max(axis=tensor_axes), 1.0)
+    if np.any(np.abs(canon - values).max(axis=tensor_axes) > SYMMETRY_RTOL * scale):
         raise DataError("matrix violates third-moment index symmetry")
     return canon
 
 
+def _checked(values: np.ndarray) -> np.ndarray:
+    """Each (d^2, d) matrix of a stack, checked finite and made exactly symmetric."""
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0][-2:]
+        raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
+    tensors = values.reshape(values.shape[:-2] + (values.shape[-1],) * 3)
+    return _canonical(tensors).reshape(values.shape)
+
+
 def _third_products(rows: np.ndarray) -> np.ndarray:
-    """The (d^2, d) average of x (x) x' (x) x over the rows, not symmetrized."""
-    n, d = rows.shape
-    pairs = (rows[:, :, None] * rows[:, None, :]).reshape(n, d * d)
-    return pairs.T @ rows / n
+    """The (..., d^2, d) average of x (x) x' (x) x over the rows of each row
+    set in a stack (..., n, d), not symmetrized."""
+    *lead, n, d = rows.shape
+    pairs = (rows[..., :, None] * rows[..., None, :]).reshape(*lead, n, d * d)
+    return np.swapaxes(pairs, -1, -2) @ rows / n
+
+
+def moment_stack(rows: np.ndarray) -> np.ndarray:
+    """Third moments of each row set in a stack (b, n, d), as a (b, d^2, d) array.
+
+    Slice k is, to the bit and after the same checks, what ThirdMomentMatrix
+    stores for the third products of ``rows[k]`` alone; for the whitened rows
+    of x, that is ``third_moment(x, "standardized").values``.
+    """
+    return _checked(_third_products(rows))
 
 
 @dataclass(frozen=True)
@@ -77,10 +98,7 @@ class ThirdMomentMatrix:
         rows, d = values.shape
         if d == 0 or rows != d * d:
             raise DataError(f"expected shape (d^2, d) with d >= 1, got {values.shape}")
-        if not np.isfinite(values).all():
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
-        values = _canonical(values.reshape(d, d, d)).reshape(d * d, d)
+        values = _checked(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

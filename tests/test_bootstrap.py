@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from mvskew import (
     partial_skewness,
     skew_boot,
 )
-from mvskew.bootstrap import DIRECTIONAL_ITERATIONS
+from mvskew.bootstrap import BLOCK_ELEMENTS, DIRECTIONAL_ITERATIONS, MAX_REDRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -36,20 +37,99 @@ def test_pvalue_bounds(iris):
 # one definition per statistic
 # ---------------------------------------------------------------------------
 
+def _own_value(data, seed, r, units, public):
+    """The public value of replicate r's resample and its number of singular
+    draws, replayed from the replicate's own stream as skew_boot draws it."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+    for redraws in range(MAX_REDRAWS):
+        rows = rng.integers(0, data.n, size=units)
+        try:
+            return public(DataMatrix(data.values[rows], data.names)).value, redraws
+        except SingularityError:
+            continue
+    return None, MAX_REDRAWS
+
+
 @pytest.mark.parametrize("measure, public", [
     ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS)),
     ("Partial", partial_skewness),
     ("Mardia", mardia_skewness),
 ])
 def test_statistics_are_the_public_measure_values(iris, measure, public):
-    result = skew_boot(iris, replicates=3, units=20, measure=measure, seed=5)
+    # two full blocks and a partial third: every replicate, wherever it sits
+    # in its block, is the public value on its own resample, to the bit
+    units = 150
+    block = BLOCK_ELEMENTS // (units * iris.d**2)
+    assert block > 1
+    replicates = 2 * block + block // 2
+    result = skew_boot(iris, replicates=replicates, units=units, measure=measure,
+                       seed=5)
     assert result.observed == public(iris).value
-    # replicate 0 redrawn from its own stream, as skew_boot draws it
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=5, spawn_key=(0,))))
-    rows = rng.integers(0, iris.n, size=20)
-    resample = DataMatrix(iris.values[rows], iris.names)
-    assert result.replicates[0] == public(resample).value
+    expected = [_own_value(iris, 5, r, units, public)[0] for r in range(replicates)]
+    assert result.replicates.tolist() == expected
+
+
+# four points in general position in the plane: a resample of 3 (Mardia) or
+# 4 (Partial) rows is singular when it holds at most two distinct points
+SQUARE = DataMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]),
+                    ("x1", "x2"))
+
+
+@pytest.mark.parametrize("measure, public, units", [
+    ("Mardia", mardia_skewness, 3),
+    ("Partial", partial_skewness, 4),
+])
+def test_redrawn_replicates_inside_a_block_keep_their_own_stream(measure, public,
+                                                                 units):
+    replicates = 12
+    assert BLOCK_ELEMENTS // (units * SQUARE.d**2) > replicates  # one block
+    result = skew_boot(SQUARE, replicates=replicates, units=units, measure=measure,
+                       seed=0)
+    own = [_own_value(SQUARE, 0, r, units, public) for r in range(replicates)]
+    # redraws happen in the middle of the block, not only at its ends
+    assert any(redraws > 0 for _, redraws in own[1:-1])
+    assert result.replicates.tolist() == [value for value, _ in own]
+
+
+# n = d + 1 = 9 points in 8 variables: a resample is nonsingular only when it
+# holds all 9 points, so most replicates stay singular through every redraw
+SIMPLEX = np.vstack([np.zeros(8), np.eye(8)])
+
+
+@pytest.mark.parametrize("measure, public, units, seed", [
+    ("Mardia", mardia_skewness, 9, 5),
+    ("Partial", partial_skewness, 10, 0),
+    ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS), 9, 5),
+])
+def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
+                                                         seed):
+    data = DataMatrix(SIMPLEX, tuple(f"x{j + 1}" for j in range(8)))
+    first = 0
+    while _own_value(data, seed, first, units, public)[0] is not None:
+        first += 1
+    assert first > 0  # earlier replicates succeed, some only after redraws
+    with pytest.raises(SingularityError) as excinfo:
+        skew_boot(data, replicates=first + 4, units=units, measure=measure,
+                  seed=seed)
+    assert str(excinfo.value) == (f"replicate {first}: resample covariance "
+                                  f"still singular after {MAX_REDRAWS} redraws")
+
+
+def test_block_memory_stays_small(iris):
+    # the block budget bounds the stacked arrays: 2000 replicates peak
+    # within 2 MB of one
+    def peak(replicates):
+        fresh = DataMatrix(iris.values, iris.names)
+        tracemalloc.start()
+        try:
+            skew_boot(fresh, replicates=replicates, units=150, measure="Mardia",
+                      seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(1) < 2e6
 
 
 # ---------------------------------------------------------------------------
