@@ -1,9 +1,9 @@
 """Bootstrap distribution, histogram, and p-value for a skewness measure.
 
 For each replicate, ``units`` rows are drawn from the data uniformly with
-replacement and the chosen measure is recomputed: each statistic is the
-``value`` of the public measure's report, whose parametric p-value is never
-read. The bootstrap p-value uses the add-one rule
+replacement and the chosen measure is recomputed: each statistic is, to the
+bit, the ``value`` of the public measure's report on the resample, whose
+parametric p-value is never read. The bootstrap p-value uses the add-one rule
 (1 + #{replicate >= observed}) / (replicates + 1), so with R replicates it
 is always an integer multiple of 1/(R+1).
 
@@ -14,13 +14,14 @@ Determinism: row sampling uses numpy's counter-based Philox generator with
 one child stream per replicate derived from (seed, replicate index), and
 unbiased bounded integers, so identical inputs give bit-identical results
 regardless of how replicates are scheduled. Replicates are drawn and
-evaluated in blocks of max(1, BLOCK_ELEMENTS // (units * d^2)) resamples:
-the Mardia and Partial statistics of a block come from one stacked pass
-over its (block, units, d) resamples, the Directional one from a search per
-resample. Each value is bit-identical to the measure evaluated on its
-resample alone, so no value depends on the block size or on where a block
-starts. A singular resample is redrawn from its own stream, as often as
-MAX_REDRAWS allows.
+evaluated in blocks of max(1, BLOCK_ELEMENTS // (units * d^2)) resamples.
+One stacked pass whitens a block's (block, units, d) resamples and masks
+out the singular ones; each measure is one function of the whitened stack
+(Directional runs one search per resample on the stack's third moments),
+and the observed value is that function on the data's cached whitening.
+Every value is bit-identical to the measure on its resample alone, so no
+value depends on the block size or on where a block starts. A singular
+resample is redrawn from its own stream, as often as MAX_REDRAWS allows.
 """
 
 from __future__ import annotations
@@ -29,14 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreconditionError, SingularityError, as_data_matrix
-from .measures import (
-    directional_skewness,
-    mardia_skewness,
-    mardia_values,
-    partial_skewness,
-    partial_values,
-)
+from .data import PreconditionError, SingularityError, as_data_matrix, whiten
+from .measures import mardia_values, partial_values
+from .projection import directional_values
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
 
@@ -63,6 +59,7 @@ class BootstrapResult:
     histogram: list[tuple[float, float, int]]
     measure: str
     seed: int
+    redraws: int  # singular resamples drawn and replaced
 
 
 def _sturges_histogram(values: np.ndarray) -> list[tuple[float, float, int]]:
@@ -72,18 +69,6 @@ def _sturges_histogram(values: np.ndarray) -> list[tuple[float, float, int]]:
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))
         for i in range(len(counts))
     ]
-
-
-def _directional_values(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Directional skewness of each nonsingular row set in a stack, one
-    search per set, with the boolean mask of the nonsingular sets."""
-    values, regular = [], np.ones(len(stack), dtype=bool)
-    for k, rows in enumerate(stack):
-        try:
-            values.append(directional_skewness(rows, DIRECTIONAL_ITERATIONS).value)
-        except SingularityError:
-            regular[k] = False
-    return values, regular
 
 
 def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) -> BootstrapResult:
@@ -103,7 +88,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         Statistic to bootstrap. Directional uses the projection search with
         its iteration budget fixed at 5.
     seed : int
-        RNG seed; identical seeds give bit-identical results.
+        Nonnegative RNG seed; identical seeds give bit-identical results.
 
     Returns
     -------
@@ -131,15 +116,17 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         )
     if replicates < 1:
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
 
-    report, evaluate = {
-        "Directional": (lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS),
-                        _directional_values),
-        "Partial": (partial_skewness, partial_values),
-        "Mardia": (mardia_skewness, mardia_values),
+    statistic = {
+        "Directional": lambda z: directional_values(z, DIRECTIONAL_ITERATIONS),
+        "Partial": partial_values,
+        "Mardia": mardia_values,
     }[measure]
-    observed = report(data).value
+    observed = statistic(data.whitening[0][None])[0]
     values = np.empty(replicates)
+    redraws = 0
     size = max(1, BLOCK_ELEMENTS // (units * data.d**2))
     for start in range(0, replicates, size):
         streams = [
@@ -150,9 +137,10 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         pending = np.arange(len(streams))  # block positions without a value yet
         for _ in range(MAX_REDRAWS):
             rows = np.stack([streams[k].integers(0, data.n, size=units) for k in pending])
-            found, regular = evaluate(data.values[rows])
-            values[start + pending[regular]] = found
+            z, regular = whiten(data.values[rows])
+            values[start + pending[regular]] = statistic(z)
             pending = pending[~regular]
+            redraws += len(pending)
             if not len(pending):
                 break
         else:
@@ -170,4 +158,5 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         histogram=_sturges_histogram(values),
         measure=measure,
         seed=seed,
+        redraws=redraws,
     )

@@ -177,7 +177,8 @@ def _cmd_boot(args, data: DataMatrix) -> None:
     summary.update(replicates=args.replicates, units=args.units, seed=result.seed)
     if args.format == "json":
         _write(args, "boot.json", {**summary, "replicates": result.replicates,
-                                   "histogram": result.histogram})
+                                   "histogram": result.histogram,
+                                   "redraws": result.redraws})
         return
     _write(args, "boot_replicates.csv",
            format_matrix(result.replicates.reshape(-1, 1), args.precision))

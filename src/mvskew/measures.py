@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import SingularityError, as_data_matrix, whiten
+from .data import SingularityError, as_data_matrix
 from .moments import moment_stack, third_moment
 from .projection import max_skew
 
@@ -123,15 +123,10 @@ def _mardia(moment: np.ndarray) -> float:
     return float((moment ** 2).sum())
 
 
-def mardia_values(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Mardia's skewness of each nonsingular row set in a stack (b, n, d).
-
-    Returns the values, in stack order, and the boolean mask of the row sets
-    with a nonsingular covariance. Each value is, to the bit, the ``value``
-    of :func:`mardia_skewness` on its row set alone.
-    """
-    z, regular = whiten(stack)
-    return [_mardia(moment) for moment in moment_stack(z)], regular
+def mardia_values(z: np.ndarray) -> list[float]:
+    """Mardia's skewness of each whitened row set in a stack (b, n, d): for
+    the whitened rows of x, ``mardia_skewness(x).value`` to the bit."""
+    return [_mardia(moment) for moment in moment_stack(z)]
 
 
 def _mori(z: np.ndarray) -> np.ndarray:
@@ -167,13 +162,10 @@ def partial_skewness(data) -> SkewnessReport:
     )
 
 
-def partial_values(stack: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Partial skewness of each nonsingular row set in a stack (b, n, d).
-
-    Returns what :func:`mardia_values` returns, for :func:`partial_skewness`.
-    """
-    z, regular = whiten(stack)
-    return [_partial(vector) for vector in _mori(z)], regular
+def partial_values(z: np.ndarray) -> list[float]:
+    """Partial skewness of each whitened row set in a stack (b, n, d), as
+    :func:`mardia_values` gives it for :func:`partial_skewness`."""
+    return [_partial(vector) for vector in _mori(z)]
 
 
 def directional_skewness(data, iterations: int = 50) -> SkewnessReport:

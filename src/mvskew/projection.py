@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreconditionError, as_data_matrix
-from .moments import third_moment, transform_third
+from .moments import moment_stack, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
 
@@ -106,6 +106,13 @@ def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, float, i
     if value < 0:
         direction, value = -direction, -value
     return direction, value, c.shape[1], c.shape[1] - active.size
+
+
+def directional_values(z: np.ndarray, iterations: int) -> list[float]:
+    """Directional skewness of each whitened row set in a stack (b, n, d):
+    for the whitened rows of x, ``directional_skewness(x, iterations).value``
+    to the bit, from one search per set."""
+    return [_search(moment, iterations)[1] ** 2 for moment in moment_stack(z)]
 
 
 def max_skew(data, iterations: int, components: int) -> ProjectionBasis:

@@ -79,6 +79,7 @@ SQUARE = DataMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]),
 @pytest.mark.parametrize("measure, public, units", [
     ("Mardia", mardia_skewness, 3),
     ("Partial", partial_skewness, 4),
+    ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS), 3),
 ])
 def test_redrawn_replicates_inside_a_block_keep_their_own_stream(measure, public,
                                                                  units):
@@ -90,6 +91,8 @@ def test_redrawn_replicates_inside_a_block_keep_their_own_stream(measure, public
     # redraws happen in the middle of the block, not only at its ends
     assert any(redraws > 0 for _, redraws in own[1:-1])
     assert result.replicates.tolist() == [value for value, _ in own]
+    # every singular draw is counted once
+    assert result.redraws == sum(redraws for _, redraws in own)
 
 
 # n = d + 1 = 9 points in 8 variables: a resample is nonsingular only when it
@@ -114,6 +117,21 @@ def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
                   seed=seed)
     assert str(excinfo.value) == (f"replicate {first}: resample covariance "
                                   f"still singular after {MAX_REDRAWS} redraws")
+
+
+def test_directional_replicates_build_no_data_matrix(iris, monkeypatch):
+    # resamples are whitened and searched as arrays, like the other measures
+    fresh = DataMatrix(iris.values, iris.names)
+    built = []
+    post_init = DataMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DataMatrix, "__post_init__", counted)
+    skew_boot(fresh, replicates=54, units=150, measure="Directional", seed=3)
+    assert built == []
 
 
 def test_block_memory_stays_small(iris):
@@ -196,6 +214,13 @@ def test_units_constraint_partial(iris):
 def test_replicates_constraint(iris):
     with pytest.raises(PreconditionError, match="replicates"):
         skew_boot(iris, replicates=0, units=11, measure="Mardia", seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_must_be_a_nonnegative_integer(iris, seed):
+    with pytest.raises(PreconditionError,
+                       match=f"^seed must be a non-negative integer, got {seed}$"):
+        skew_boot(iris, replicates=2, units=11, measure="Mardia", seed=seed)
 
 
 def test_unknown_measure(iris):

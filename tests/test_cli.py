@@ -235,6 +235,15 @@ def test_boot_replicates_exit_2(tmp_path, iris_path, capsys):
     assert "mvskew: replicates must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_boot_negative_seed_exit_2(tmp_path, iris_path, capsys):
+    code = main(["boot", str(iris_path), "--measure", "Mardia",
+                 "--replicates", "2", "--units", "11", "--seed", "-1",
+                 "--columns", "1-4", "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "mvskew: seed must be a non-negative integer, got -1\n")
+
+
 def test_boot_unknown_measure_exit_2(tmp_path, iris_path, capsys):
     code = main(["boot", str(iris_path), "--measure", "Bogus",
                  "--replicates", "5", "--units", "11", "--columns", "1-4",
@@ -269,7 +278,7 @@ def test_boot_json(tmp_path, iris_path, iris):
                        "pvalue": result.pvalue,
                        "replicates": result.replicates.tolist(),
                        "histogram": [list(row) for row in result.histogram],
-                       "units": 10, "seed": 1}
+                       "units": 10, "seed": 1, "redraws": result.redraws}
 
 
 def test_boot_histogram_counts_are_integers(tmp_path, iris_path):
