@@ -17,11 +17,14 @@ regardless of how replicates are scheduled. Replicates are drawn and
 evaluated in blocks of max(1, BLOCK_ELEMENTS // (units * d^2)) resamples.
 One stacked pass whitens a block's (block, units, d) resamples and masks
 out the singular ones; each measure is one function of the whitened stack
-(Directional runs one search per resample on the stack's third moments),
-and the observed value is that function on the data's cached whitening.
+(Directional runs one projection search on the stack's third moments), and
+the observed value is that function on the data's cached whitening.
 Every value is bit-identical to the measure on its resample alone, so no
-value depends on the block size or on where a block starts. A singular
-resample is redrawn from its own stream, as often as MAX_REDRAWS allows.
+value depends on the block size or on where a block starts. The one
+exception is a Directional resample whose search stops a restart that
+another resample in its block still runs: its value may then differ in the
+last bits. A singular resample is redrawn from its own stream, as often as
+MAX_REDRAWS allows.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreconditionError, SingularityError, as_data_matrix, whiten
+from .data import (PreconditionError, SingularityError, as_data_matrix, require_integers,
+                   whiten)
 from .measures import mardia_values, partial_values
 from .projection import directional_values
 
@@ -108,6 +112,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         raise PreconditionError(
             f"the Directional measure needs at least 2 variables, got {data.d}"
         )
+    require_integers(units=units, replicates=replicates)
     minimum = data.d + 1 if measure == "Partial" else data.d
     if units <= minimum:
         raise PreconditionError(
@@ -116,7 +121,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         )
     if replicates < 1:
         raise PreconditionError(f"replicates must be >= 1, got {replicates}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
 
     statistic = {

@@ -57,6 +57,14 @@ class SingularityError(ValueError):
     """A covariance or SPD matrix is numerically singular."""
 
 
+def require_integers(**counts) -> None:
+    """Raise PreconditionError unless every keyword's value is an int or a
+    numpy integer; a bool is neither here."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x d matrix of observations with unique column labels.

@@ -4,10 +4,12 @@ For whitened rows z and a unit vector c, the sample skewness of z @ c is
 the cubic form (c (x) c)' K c on the third cumulant K of z, so the search
 needs K alone. Each direction is found by tensor power iteration,
 c <- normalize(K' (c (x) c)), from the eigenvectors of every cumulant block
-plus fixed-seed random unit vectors. The restarts run as one batch: an
-iteration is one product K' [c_r (x) c_r]_r, and a column freezes once its
-step is within CONVERGENCE_TOL or is zero. Later directions repeat the
-search in the orthogonal complement B of those found (deflation), on
+plus fixed-seed random unit vectors. The restarts of a stack of cumulants
+run as one batch: an iteration is one stacked product K' [c_r (x) c_r]_r,
+and a column freezes once its step is within CONVERGENCE_TOL or is zero.
+max_skew searches a stack of one cumulant per component, the Directional
+bootstrap a block of resamples at once. Later directions repeat the search
+in the orthogonal complement B of those found (deflation), on
 transform_third(K, B'), which keeps the projections exactly uncorrelated.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreconditionError, as_data_matrix
+from .data import PreconditionError, as_data_matrix, require_integers
 from .moments import moment_stack, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
@@ -54,65 +56,66 @@ class ProjectionBasis:
 
 
 def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
-    """Eigenvectors of every cumulant block, then fixed random unit vectors,
-    as the columns of an m x (m^2 + N_RANDOM_RESTARTS) matrix.
+    """Eigenvectors of every block of each cumulant in a stack (b, m^2, m),
+    then fixed random unit vectors: an m x (m^2 + N_RANDOM_RESTARTS) slice each.
 
     Blocks are ordered by decreasing Frobenius norm so the dominant block's
     eigenvectors come first; small-basin optima are often reachable only
     from the weaker blocks' eigenvectors.
     """
-    m = cumulant.shape[1]
-    blocks = cumulant.reshape(m, m, m)
-    order = np.argsort(-np.linalg.norm(blocks, axis=(1, 2)), kind="stable")
-    eigvecs = np.linalg.eigh(blocks[order])[1]
-    rng = np.random.default_rng(RESTART_SEED)
-    random = rng.standard_normal((N_RANDOM_RESTARTS, m)).T
-    return np.hstack([eigvecs.transpose(1, 0, 2).reshape(m, m * m),
-                      random / np.linalg.norm(random, axis=0)])
+    b, _, m = cumulant.shape
+    blocks = cumulant.reshape(b, m, m, m)
+    order = np.argsort(-np.linalg.norm(blocks, axis=(2, 3)), axis=1, kind="stable")
+    eigvecs = np.linalg.eigh(blocks[np.arange(b)[:, None], order])[1]
+    random = np.random.default_rng(RESTART_SEED).standard_normal((N_RANDOM_RESTARTS, m)).T
+    random = np.broadcast_to(random / np.linalg.norm(random, axis=0), (b, m, N_RANDOM_RESTARTS))
+    return np.concatenate([eigvecs.transpose(0, 2, 1, 3).reshape(b, m, m * m), random], axis=2)
 
 
 def _pairs(c: np.ndarray) -> np.ndarray:
-    """The m^2 x R matrix whose column r is c_r (x) c_r."""
-    m = c.shape[0]
-    return (c[:, None, :] * c[None, :, :]).reshape(m * m, -1)
+    """The (b, m^2, R) stack whose column r of slice k is c_kr (x) c_kr."""
+    b, m, r = c.shape
+    return (c[:, :, None, :] * c[:, None, :, :]).reshape(b, m * m, r)
 
 
-def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, float, int, int]:
-    """Most-skewed unit direction under a whitened m^2 x m third cumulant.
-
-    Returns the direction, signed so that its skewness is positive, that
-    skewness, the number of restarts and how many of them converged.
+def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Most-skewed unit direction under each whitened third cumulant of a
+    stack (b, m^2, m): the (b, m) directions, signed so that their skewness
+    is positive, those b skewness values, the number of restarts and how
+    many converged per cumulant. A restart column runs while any cumulant
+    needs it and a stopped entry keeps its value, so each result is the one
+    its cumulant gets alone, up to BLAS and numpy rounding a column
+    differently at another width.
     """
     c = _restart_directions(cumulant)
-    active = np.arange(c.shape[1])
+    running = np.ones((c.shape[0], c.shape[2]), dtype=bool)
     for _ in range(iterations):
-        current = c[:, active]
-        step = cumulant.T @ _pairs(current)
-        norm = np.linalg.norm(step, axis=0)
-        # zero step: c is stationary (exactly symmetric data), keep it, stop
-        moving = norm > 0.0
-        step = step[:, moving] / norm[moving]
-        c[:, active[moving]] = step
-        done = ~moving
-        done[moving] = np.linalg.norm(step - current[:, moving], axis=0) < CONVERGENCE_TOL
-        active = active[~done]
-        if not active.size:
+        columns = np.flatnonzero(running.any(axis=0))
+        if not columns.size:
             break
-    gamma = np.einsum("hr,hr->r", c, cumulant.T @ _pairs(c))
+        current = c[:, :, columns]
+        step = cumulant.transpose(0, 2, 1) @ _pairs(current)
+        norm = np.linalg.norm(step, axis=1)
+        # zero step: c is stationary (exactly symmetric data), keep it, stop
+        moving = running[:, columns] & (norm > 0.0)
+        step = np.divide(step, norm[:, None], out=current.copy(), where=moving[:, None])
+        c[:, :, columns] = step
+        running[:, columns] = moving & ~(np.linalg.norm(step - current, axis=1) < CONVERGENCE_TOL)
+    gamma = np.einsum("bhr,bhr->br", c, cumulant.transpose(0, 2, 1) @ _pairs(c))
     # deterministic reduction: larger |skewness| wins, the earliest restart
     # breaks ties
-    best = int(np.argmax(np.abs(gamma)))
-    direction, value = c[:, best], float(gamma[best])
-    if value < 0:
-        direction, value = -direction, -value
-    return direction, value, c.shape[1], c.shape[1] - active.size
+    slices, best = np.arange(len(c)), np.argmax(np.abs(gamma), axis=1)
+    sign = np.where(gamma[slices, best] < 0, -1.0, 1.0)
+    return (c[slices, :, best] * sign[:, None], gamma[slices, best] * sign, c.shape[2],
+            (~running).sum(axis=1))
 
 
-def directional_values(z: np.ndarray, iterations: int) -> list[float]:
+def directional_values(z: np.ndarray, iterations: int) -> np.ndarray:
     """Directional skewness of each whitened row set in a stack (b, n, d):
-    for the whitened rows of x, ``directional_skewness(x, iterations).value``
-    to the bit, from one search per set."""
-    return [_search(moment, iterations)[1] ** 2 for moment in moment_stack(z)]
+    ``directional_skewness(x, iterations).value`` for the whitened rows of x,
+    to the bit while the sets run the same restarts (see _search). Squares by
+    C pow like that scalar ``** 2``; an array's ``** 2`` (x * x) can round apart."""
+    return np.float_power(_search(moment_stack(z), iterations)[1], 2)
 
 
 def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
@@ -136,6 +139,7 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
         each attained skewness is positive.
     """
     data = as_data_matrix(data)
+    require_integers(iterations=iterations, components=components)
     if iterations < 1:
         raise PreconditionError(f"iterations must be >= 1, got {iterations}")
     if not 1 <= components < data.d:
@@ -151,8 +155,8 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
     for j in range(components):
         if j:  # K seen from the not-yet-searched subspace
             reduced = transform_third(cumulant, basis.T)
-        c, gamma, tried, settled = _search(reduced.values, iterations)
-        found.append((basis @ c, gamma, tried, settled))
+        (c,), (gamma,), tried, (settled,) = _search(reduced.values[None], iterations)
+        found.append((basis @ c, gamma, tried, int(settled)))
         # shrink the search space to the orthogonal complement
         basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
     columns, gammas, restarts, converged = zip(*found)

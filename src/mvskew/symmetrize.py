@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, PreconditionError, as_data_matrix
+from .data import DataError, PreconditionError, as_data_matrix, require_integers
 from .measures import SkewnessReport, mardia_skewness
 from .moments import third_moment
 from .projection import ProjectionBasis
@@ -41,6 +41,7 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
         to the zero-mean, identity-covariance ``projected`` ("Projections").
     """
     data = as_data_matrix(data)
+    require_integers(dimension=dimension)
     if not 2 <= dimension <= data.d:
         raise PreconditionError(
             f"dimension must be an integer between 2 and the number of "

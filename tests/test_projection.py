@@ -10,6 +10,7 @@ from mvskew import (
     third_moment,
 )
 from mvskew import projection
+from mvskew.moments import moment_stack
 
 
 def gamma_mixed(seed, n, d):
@@ -248,3 +249,47 @@ def test_max_skew_preconditions(iris):
         max_skew(iris, iterations=10, components=0)
     with pytest.raises(PreconditionError, match="iterations"):
         max_skew(iris, iterations=0, components=1)
+    with pytest.raises(PreconditionError, match="^iterations must be an integer, got True$"):
+        max_skew(iris, iterations=True, components=1)
+    with pytest.raises(PreconditionError, match="^components must be an integer, got 1.5$"):
+        max_skew(iris, iterations=5, components=1.5)
+    # numpy integers are counts too
+    assert max_skew(iris, iterations=np.int64(5), components=np.int32(1)).restarts == (24,)
+
+
+@pytest.mark.parametrize("iterations", [5, 50])
+def test_stacked_search_is_each_slice_alone(iterations):
+    # the zero-cumulant cube stops every restart at step 1; at 50 iterations
+    # the gamma-mixed sets stop 17 and 6 of their 17, so a restart column the
+    # stack still runs has stopped in some slices
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    sets = [cube, gamma_mixed(1, 8, 3), gamma_mixed(2, 8, 3)]
+    stack = moment_stack(np.stack([standardize(x).values for x in sets]))
+    directions, values, restarts, converged = projection._search(stack, iterations)
+    assert restarts == 3 * 3 + 8
+    if iterations == 50:
+        assert converged.tolist() == [17, 17, 6]
+    for k in range(len(sets)):
+        alone = projection._search(stack[k:k + 1], iterations)
+        assert directions[k].tobytes() == alone[0][0].tobytes()
+        assert values[k:k + 1].tobytes() == alone[1].tobytes()
+        assert converged[k] == alone[3][0]
+
+
+def test_search_of_an_empty_stack_is_empty():
+    directions, values, restarts, converged = projection._search(np.zeros((0, 9, 3)), 5)
+    assert directions.shape == (0, 3)
+    assert values.shape == converged.shape == (0,)
+
+
+def test_max_skew_search_column_work_is_pinned(monkeypatch):
+    # a restart column is stepped only while it runs: compacting, not masking
+    widths = []
+
+    def counted(c, _real=projection._pairs):
+        widths.append(c.shape[-1])
+        return _real(c)
+
+    monkeypatch.setattr(projection, "_pairs", counted)
+    max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
+    assert (len(widths), sum(widths)) == (128, 3300)

@@ -112,6 +112,8 @@ def test_min_skew_dimension_bounds(iris):
         min_skew(iris, dimension=1)
     with pytest.raises(PreconditionError, match="dimension"):
         min_skew(iris, dimension=5)
+    with pytest.raises(PreconditionError, match="^dimension must be an integer, got 2.5$"):
+        min_skew(iris, dimension=2.5)
 
 
 # ---------------------------------------------------------------------------

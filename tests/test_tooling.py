@@ -1,5 +1,6 @@
 """Repository-level checks: the demos run, modules share no private names,
-and the public surface is the pinned list below."""
+the public surface is the pinned list below, and every function the
+benchmark traces exists."""
 
 import ast
 import importlib
@@ -73,3 +74,19 @@ def test_star_import_binds_exactly_the_public_names():
 def test_submodule_all_names_exist(module):
     module = importlib.import_module(f"mvskew.{module}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _bench_targets() -> dict:
+    """The TARGETS table of perfbench/spans.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(target, "id", None) for target in node.targets] == ["TARGETS"]]
+    return ast.literal_eval(table)
+
+
+def test_bench_traced_functions_exist():
+    # the bench wraps these by name; a rename must fail here, not in a traced run
+    missing = [f"{short}.{name}" for short, names in _bench_targets().items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"mvskew.{short}"), name, None))]
+    assert missing == []
