@@ -14,7 +14,6 @@ from .data import (
     DataMatrix,
     PreconditionError,
     SingularityError,
-    SpdMatrix,
     covariance,
     inv_sqrt,
     load_csv,
@@ -51,7 +50,6 @@ __all__ = [
     "ProjectionBasis",
     "SingularityError",
     "SkewnessReport",
-    "SpdMatrix",
     "ThirdMomentMatrix",
     "block",
     "chi2_sf",

@@ -42,7 +42,7 @@ __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
 
 MEASURES = ("Directional", "Partial", "Mardia")
 
-# iteration budget handed to max_skew when the measure is Directional
+# iteration budget of directional_values when the measure is Directional
 DIRECTIONAL_ITERATIONS = 5
 
 # give up on a replicate after this many singular resamples
@@ -142,7 +142,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         pending = np.arange(len(streams))  # block positions without a value yet
         for _ in range(MAX_REDRAWS):
             rows = np.stack([streams[k].integers(0, data.n, size=units) for k in pending])
-            z, regular = whiten(data.values[rows])
+            z, _, regular = whiten(data.values[rows])
             values[start + pending[regular]] = statistic(z)
             pending = pending[~regular]
             redraws += len(pending)

@@ -139,7 +139,9 @@ def _cmd_skew(args, data: DataMatrix) -> None:
                payload if args.format == "json" else _rows(items.items(), args.precision))
 
 
-def _write_basis(args, basis: ProjectionBasis, prefix: str, linear_name: str) -> None:
+def _write_basis(args, basis: ProjectionBasis, prefix: str,
+                 linear_name: str) -> str | None:
+    """Write a basis's files; returns the projections' csv text, when it writes one."""
     if args.format == "json":
         payload = {linear_name: basis.directions,
                    "standardized_directions": basis.standardized_directions,
@@ -148,20 +150,21 @@ def _write_basis(args, basis: ProjectionBasis, prefix: str, linear_name: str) ->
         if basis.restarts:  # max_skew's per-component search diagnostics
             payload.update(restarts=basis.restarts, converged=basis.converged)
         _write(args, f"{prefix}.json", payload)
-        return
-    for stem, matrix in ((linear_name, basis.directions),
-                         ("skewness", basis.skewness),
-                         ("projections", basis.projected)):
+        return None
+    for stem, matrix in ((linear_name, basis.directions), ("skewness", basis.skewness)):
         _write(args, f"{prefix}_{stem}.csv", format_matrix(matrix, args.precision))
+    projections = format_matrix(basis.projected, args.precision)
+    _write(args, f"{prefix}_projections.csv", projections)
+    return projections
 
 
 def _cmd_maxskew(args, data: DataMatrix) -> None:
     basis = max_skew(data, iterations=args.iterations, components=args.components)
-    _write_basis(args, basis, "maxskew", "directions")
+    projections = (_write_basis(args, basis, "maxskew", "directions")
+                   or format_matrix(basis.projected, args.precision))
     # scatter data for external plotting: projections with column labels
     header = ",".join(f"proj{j + 1}" for j in range(basis.projected.shape[1]))
-    _write(args, "maxskew_scatter.csv",
-           header + "\n" + format_matrix(basis.projected, args.precision))
+    _write(args, "maxskew_scatter.csv", header + "\n" + projections)
 
 
 def _cmd_minskew(args, data: DataMatrix) -> None:

@@ -8,10 +8,11 @@ This module owns the two conventions everything else inherits:
 * matrix square roots are symmetric (spectral), never Cholesky.
 
 Whitening -- the covariance, its inverse symmetric root and the whitened
-rows -- is computed on first use and cached on the :class:`DataMatrix`
+rows -- has one kernel, :func:`whiten`, which whitens a stack of row sets
+such as the bootstrap's resamples. A :class:`DataMatrix` whitens its rows
+as a stack of one on first use and caches the result
 (``DataMatrix.whitening``); every standardized quantity of a DataMatrix
-reads that cache. :func:`whiten` whitens a stack of row sets, such as the
-bootstrap's resamples, through the same kernels and to the same bits.
+reads that cache.
 Argument checks that callers can get wrong (counts, dimensions,
 measure names) raise :class:`PreconditionError`.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,6 @@ __all__ = [
     "PreconditionError",
     "SingularityError",
     "DataMatrix",
-    "SpdMatrix",
     "load_csv",
     "format_matrix",
     "covariance",
@@ -40,7 +40,7 @@ __all__ = [
     "standardize",
 ]
 
-# relative eigenvalue floor below which an SpdMatrix counts as singular
+# relative eigenvalue floor below which a symmetric matrix counts as singular
 EIG_RTOL = 1e-10
 
 
@@ -113,13 +113,15 @@ class DataMatrix:
     def whitening(self) -> tuple[np.ndarray, np.ndarray]:
         """Whitened rows z = S^{-1/2}(x - mean) and the root S^{-1/2}.
 
-        Raises SingularityError, uncached, when the covariance is singular.
+        :func:`whiten` on a stack of one. Raises SingularityError, uncached,
+        when the covariance is singular.
         """
-        root = inv_sqrt(covariance(self))
-        z = _centered(self.values) @ root
+        z, roots, regular = whiten(self.values[None])
+        if not regular[0]:
+            covariance(self)  # the same test fails there, naming the direction
         z.setflags(write=False)
-        root.setflags(write=False)
-        return z, root
+        roots.setflags(write=False)
+        return z[0], roots[0]
 
     def select_rows(self, indices: Sequence[int]) -> "DataMatrix":
         """Return the sub-matrix of the given 0-based row indices."""
@@ -175,36 +177,6 @@ def _inv_root(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     """Symmetric inverse square roots from eigenpairs of shape (..., d), (..., d, d)."""
     root = (eigvecs / np.sqrt(eigvals)[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
     return (root + np.swapaxes(root, -1, -2)) / 2.0
-
-
-@dataclass(frozen=True)
-class SpdMatrix:
-    """A symmetric positive definite d x d matrix (e.g. a covariance).
-
-    Construction applies the package's one singularity test, which
-    :func:`whiten` applies to stacks: SingularityError unless the smallest
-    eigenvalue exceeds EIG_RTOL times the largest (or times the smallest
-    positive float, when the largest is not positive). ``spectrum`` is the
-    symmetric eigendecomposition (ascending eigenvalues, eigenvectors) that
-    test solves; :func:`inv_sqrt` reuses it.
-    """
-
-    values: np.ndarray
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise DataError(f"expected a square matrix, got shape {values.shape}")
-        values, eigvals, eigvecs, singular = _spectrum(values)
-        if singular:
-            raise SingularityError(
-                f"matrix is singular (eigenvalues {eigvals[0]:.3e} to {eigvals[-1]:.3e})"
-            )
-        for array in (values, eigvals, eigvecs):
-            array.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "spectrum", (eigvals, eigvecs))
 
 
 def _is_number(cell: str) -> bool:
@@ -389,54 +361,58 @@ def format_matrix(matrix, precision: int) -> str:
     return (row * n) % tuple(matrix.ravel().tolist())
 
 
-def covariance(data) -> SpdMatrix:
-    """Sample covariance with 1/n weights.
+def covariance(data) -> np.ndarray:
+    """Sample covariance with 1/n weights, exactly symmetric and read-only.
 
     Raises
     ------
     SingularityError
-        If the covariance fails :class:`SpdMatrix`'s singularity test; the
+        If the covariance fails the singularity test of :func:`whiten`; the
         message names the near-null direction in terms of the column labels.
     """
     data = as_data_matrix(data)
-    cov = _gram(_centered(data.values))
-    try:
-        return SpdMatrix(cov)
-    except SingularityError:
-        # solve again, on this path only, to name the null direction
-        eigvals, eigvecs = np.linalg.eigh(cov)
-    combo = " ".join(
-        f"{w:+.3f}*{name}" for w, name in zip(eigvecs[:, 0], data.names)
-    )
-    raise SingularityError(
-        f"covariance is singular along {combo} (eigenvalue {eigvals[0]:.3e})"
-    )
+    cov, eigvals, eigvecs, singular = _spectrum(_gram(_centered(data.values)))
+    if singular:
+        combo = " ".join(f"{w:+.3f}*{name}" for w, name in zip(eigvecs[:, 0], data.names))
+        raise SingularityError(
+            f"covariance is singular along {combo} (eigenvalue {eigvals[0]:.3e})")
+    cov.setflags(write=False)
+    return cov
 
 
-def inv_sqrt(spd) -> np.ndarray:
-    """Inverse of the symmetric positive definite square root.
+def inv_sqrt(matrix) -> np.ndarray:
+    """Inverse of the symmetric positive definite square root of a matrix.
 
-    Accepts an SpdMatrix or a plain symmetric array, which must pass
-    :class:`SpdMatrix`'s singularity test. The result R is symmetric,
-    positive definite, and satisfies R @ S @ R = I to 1e-10.
+    The matrix must be square and symmetric to 1e-12 relative (DataError)
+    and pass the singularity test of :func:`whiten` (SingularityError). The
+    result R is symmetric, positive definite, and satisfies R @ S @ R = I
+    to 1e-10.
     """
-    if not isinstance(spd, SpdMatrix):
-        spd = SpdMatrix(np.asarray(spd, dtype=float))
-    return _inv_root(*spd.spectrum)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DataError(f"expected a square matrix, got shape {matrix.shape}")
+    _, eigvals, eigvecs, singular = _spectrum(matrix)
+    if singular:
+        raise SingularityError(
+            f"matrix is singular (eigenvalues {eigvals[0]:.3e} to {eigvals[-1]:.3e})")
+    return _inv_root(eigvals, eigvecs)
 
 
-def whiten(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened rows of each nonsingular row set in a stack (b, n, d).
+def whiten(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whiten each nonsingular row set of a stack (b, n, d): the one whitening kernel.
 
-    Returns z, of shape (k, n, d) for the k row sets whose covariance passes
-    the singularity test, and the boolean mask of those sets. Each set is
-    whitened as :attr:`DataMatrix.whitening` whitens it alone, to the bit;
-    no root is formed for a singular set.
+    For the k sets whose 1/n covariance S passes the singularity test of
+    ``_spectrum``, returns the rows z = (x - mean) S^{-1/2}, shape (k, n, d),
+    and the symmetric roots S^{-1/2}, shape (k, d, d), with the boolean mask
+    of those sets. A set's bits do not depend on the rest of the stack.
     """
     centered = _centered(stack)
     _, eigvals, eigvecs, singular = _spectrum(_gram(centered))
     regular = ~singular
-    return centered[regular] @ _inv_root(eigvals[regular], eigvecs[regular]), regular
+    roots = _inv_root(eigvals[regular], eigvecs[regular])
+    if not regular.all():  # a boolean index copies even when it keeps every set
+        centered = centered[regular]
+    return centered @ roots, roots, regular
 
 
 def standardize(data) -> DataMatrix:

@@ -51,12 +51,12 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
     cumulant = third_moment(data, "standardized").values
     _, singular_values, vt = np.linalg.svd(cumulant)
     # smallest `dimension` singular values; SVD order (descending) preserved
+    # a row-major copy: the layout of `selected` decides the bits of z @ selected
     selected = vt[data.d - dimension :].T.copy()
     values = singular_values[data.d - dimension :]
-    for j in range(selected.shape[1]):
-        column = selected[:, j]
-        if column[int(np.argmax(np.abs(column)))] < 0:
-            selected[:, j] = -column
+    # each column's first largest-magnitude entry made positive
+    leading = selected[np.argmax(np.abs(selected), axis=0), np.arange(dimension)]
+    selected[:, leading < 0] *= -1.0
     projected = z @ selected
     directions = root @ selected
     return ProjectionBasis(

@@ -7,7 +7,6 @@ from mvskew import (
     DataMatrix,
     PreconditionError,
     SingularityError,
-    SpdMatrix,
     covariance,
     inv_sqrt,
     load_csv,
@@ -183,7 +182,7 @@ def test_load_ragged_row_is_named(tmp_path, text, row, cells, columns):
 
 
 # ---------------------------------------------------------------------------
-# DataMatrix / SpdMatrix invariants
+# DataMatrix invariants
 # ---------------------------------------------------------------------------
 
 def test_data_matrix_rejects_nan():
@@ -206,30 +205,13 @@ def test_data_matrix_is_immutable(iris):
         iris.values[0, 0] = 99.0
 
 
-def test_spd_rejects_asymmetric():
-    with pytest.raises(DataError, match="symmetric"):
-        SpdMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
-
-
-def test_spd_rejects_indefinite():
-    with pytest.raises(SingularityError):
-        SpdMatrix(np.array([[1.0, 0.0], [0.0, -2.0]]))
-
-
-def test_spd_rejects_numerically_singular():
-    # the one singularity test: min eigenvalue <= EIG_RTOL * max eigenvalue
-    with pytest.raises(SingularityError, match="singular"):
-        SpdMatrix(np.diag([1.0, 1e-12]))
-    assert SpdMatrix(np.diag([1.0, 1e-9])).spectrum[0][0] == 1e-9
-
-
 # ---------------------------------------------------------------------------
 # covariance
 # ---------------------------------------------------------------------------
 
 def test_covariance_univariate_one_over_n():
     cov = covariance(np.array([[-1.0], [0.0], [1.0]]))
-    assert_allclose(cov.values, [[2.0 / 3.0]], rtol=0, atol=1e-15)
+    assert_allclose(cov, [[2.0 / 3.0]], rtol=0, atol=1e-15)
 
 
 def test_covariance_duplicated_rows_singular():
@@ -247,29 +229,34 @@ def test_covariance_singularity_names_direction():
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-7])
-def test_covariance_near_singular_message(noise):
+@pytest.mark.parametrize("route", [covariance, lambda data: data.whitening],
+                         ids=["covariance", "whitening"])
+def test_covariance_near_singular_message(route, noise):
     # exactly rank deficient, and positive definite below EIG_RTOL: both
-    # name the direction with the same wording
+    # name the direction with the same wording, on the covariance and on
+    # the whitening every measure reads
     rng = np.random.default_rng(4)
     x = rng.standard_normal(40)
     y = 2.0 * x + noise * rng.standard_normal(40)
     data = DataMatrix(np.column_stack([x, y]), ("a", "b"))
-    with pytest.raises(SingularityError,
-                       match=r"^covariance is singular along [-+]0\.894\*a "
-                             r"[-+]0\.447\*b \(eigenvalue -?\d\.\d{3}e[-+]\d+\)$"):
-        covariance(data)
+    for _ in range(2):  # a failed whitening is not cached: it raises again
+        with pytest.raises(SingularityError,
+                           match=r"^covariance is singular along [-+]0\.894\*a "
+                                 r"[-+]0\.447\*b \(eigenvalue -?\d\.\d{3}e[-+]\d+\)$"):
+            route(data)
 
 
 def test_covariance_exactly_symmetric(iris):
-    cov = covariance(iris).values
+    cov = covariance(iris)
     assert np.array_equal(cov, cov.T)
+    assert not cov.flags.writeable
 
 
 def test_covariance_iris_calibrates_fisher(iris):
     # variance convention check: 1/n variance and third moment of column 1
     # must reproduce the known per-variable skewness 0.3118
     col = iris.values[:, 0]
-    var = covariance(iris).values[0, 0]
+    var = covariance(iris)[0, 0]
     m3 = ((col - col.mean()) ** 3).mean()
     assert abs(m3 / var**1.5 - 0.3118) < 5e-4
 
@@ -303,13 +290,31 @@ def test_inv_sqrt_near_singular():
         inv_sqrt(np.diag([1.0, 1e-12]))
 
 
+def test_spd_rejects_asymmetric():
+    with pytest.raises(DataError, match="symmetric"):
+        inv_sqrt(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+def test_spd_rejects_indefinite():
+    with pytest.raises(SingularityError):
+        inv_sqrt(np.array([[1.0, 0.0], [0.0, -2.0]]))
+
+
+def test_spd_rejects_numerically_singular():
+    # the one singularity test: min eigenvalue <= EIG_RTOL * max eigenvalue
+    with pytest.raises(SingularityError, match="singular"):
+        inv_sqrt(np.diag([1.0, 1e-12]))
+    assert_allclose(inv_sqrt(np.diag([1.0, 1e-9])), np.diag([1.0, 1e-9 ** -0.5]),
+                    rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # standardize
 # ---------------------------------------------------------------------------
 
 def test_whitening_runs_once_per_data_matrix(iris, monkeypatch):
-    # one whitening costs one symmetric eigensolve: SpdMatrix validation
-    # solves it, and covariance's singularity test and inv_sqrt reuse it
+    # one whitening costs one symmetric eigensolve: whiten solves it once,
+    # for its singularity test and its inverse root alike
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _solver=getattr(np.linalg, name), **kwargs):

@@ -1,9 +1,11 @@
 """Repository-level checks: the demos run, modules share no private names,
-the public surface is the pinned list below, and every function the
-benchmark traces exists."""
+the public surface is the pinned list below, every function the benchmark
+traces exists, and the benchmark's small job scripts pass its oracle."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import mvskew
+from mvskew import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(mvskew.__file__).resolve().parent
@@ -51,7 +54,7 @@ def test_no_module_imports_a_private_name_from_another():
 # Adding a public name means adding it here.
 PUBLIC = [
     "BootstrapResult", "DataError", "DataMatrix", "PreconditionError",
-    "ProjectionBasis", "SingularityError", "SkewnessReport", "SpdMatrix",
+    "ProjectionBasis", "SingularityError", "SkewnessReport",
     "ThirdMomentMatrix", "block", "chi2_sf", "covariance",
     "cumulant_from_moments", "directional_skewness", "fisher_skew", "inv_sqrt",
     "load_csv", "load_third_moment", "mardia_skewness", "max_skew", "min_skew",
@@ -90,3 +93,36 @@ def test_bench_traced_functions_exist():
                for name in names
                if not callable(getattr(importlib.import_module(f"mvskew.{short}"), name, None))]
     assert missing == []
+
+
+def _bench_module(name: str):
+    """A module of perfbench/, loaded by file path; perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = [w["name"] for w in
+                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_bench_small_workload_passes_its_oracle(name, tmp_path):
+    # the bench's small job script, run in-process as the bench runs it in
+    # a subprocess; a broken output file fails here, not in a timed run
+    oracle = _bench_module("oracle")
+    workload = _bench_module("workloads").workloads(small=True)[name]
+    seed = 1
+    csv = workload.input_file(ROOT, tmp_path, seed)
+    reference = oracle.Oracle(csv, range(workload.d), iris=workload.n == 0)
+    for job in workload.jobs:
+        out = tmp_path / job.kind
+        argv = [job.args[0], str(csv), *job.args[1:],
+                "--output-dir", str(out), "--precision", "15"]
+        if job.args[0] == "boot":
+            argv += ["--seed", str(seed)]
+        assert cli.main(argv) == 0, job
+        assert reference.check(job.kind, out, job.args) == [], job
