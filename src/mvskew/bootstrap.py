@@ -48,8 +48,8 @@ DIRECTIONAL_ITERATIONS = 5
 # give up on a replicate after this many singular resamples
 MAX_REDRAWS = 100
 
-# resamples per block times units * d^2: a block's (block, units, d^2) array
-# of pairwise products holds at most 2^16 floats (512 KiB)
+# a block holds max(1, BLOCK_ELEMENTS // (units * d^2)) resamples, so its
+# (block, units, d) stack of resampled rows holds at most 2^16 / d floats
 BLOCK_ELEMENTS = 2**16
 
 

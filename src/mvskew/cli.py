@@ -163,8 +163,14 @@ def _cmd_maxskew(args, data: DataMatrix) -> None:
     projections = (_write_basis(args, basis, "maxskew", "directions")
                    or format_matrix(basis.projected, args.precision))
     # scatter data for external plotting: projections with column labels
-    header = ",".join(f"proj{j + 1}" for j in range(basis.projected.shape[1]))
-    _write(args, "maxskew_scatter.csv", header + "\n" + projections)
+    header = ",".join(f"proj{j + 1}" for j in range(basis.projected.shape[1])) + "\n"
+
+    def scatter(path: Path) -> None:
+        with open(path, "w") as handle:
+            handle.write(header)
+            handle.write(projections)
+
+    _write(args, "maxskew_scatter.csv", scatter)
 
 
 def _cmd_minskew(args, data: DataMatrix) -> None:

@@ -40,6 +40,9 @@ __all__ = [
     "standardize",
 ]
 
+# rows formatted per slice by format_matrix
+FORMAT_ROWS = 4096
+
 # relative eigenvalue floor below which a symmetric matrix counts as singular
 EIG_RTOL = 1e-10
 
@@ -353,12 +356,13 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
 def format_matrix(matrix, precision: int) -> str:
     """CSV text of a matrix: one line per row, each value ``"%.{precision}g" % x``.
 
-    A 1-d input is one row. One row format is applied to all values at once.
+    A 1-d input is one row. One row format is applied to FORMAT_ROWS rows at
+    a time, so no tuple of all the values is built.
     """
     matrix = np.atleast_2d(matrix)
-    n, k = matrix.shape
-    row = ",".join([f"%.{precision}g"] * k) + "\n"
-    return (row * n) % tuple(matrix.ravel().tolist())
+    row = ",".join([f"%.{precision}g"] * matrix.shape[1]) + "\n"
+    parts = (matrix[start:start + FORMAT_ROWS] for start in range(0, len(matrix), FORMAT_ROWS))
+    return "".join((row * len(part)) % tuple(part.ravel().tolist()) for part in parts)
 
 
 def covariance(data) -> np.ndarray:

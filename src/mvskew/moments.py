@@ -6,10 +6,16 @@ is d symmetric d x d blocks stacked vertically, block i collecting the
 moments E(X_i x x').  Entries are invariant under all six permutations of
 (i,j,h); construction enforces that symmetry exactly by writing each
 sorted-index value into every permuted slot.
+
+The sample moment is summed over fixed blocks of rows, a block size that
+depends on d alone, from the d(d+1)/2 distinct pairwise products x_i x_j,
+i <= j. No n x d^2 array of pairwise products is built, and a row set's
+moment has the same bits alone as in a stack of row sets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,16 +40,26 @@ KINDS = ("raw", "central", "standardized")
 SYMMETRY_RTOL = 1e-8
 
 
+@functools.cache
+def _sorted_slots(d: int) -> np.ndarray:
+    """For each slot (i, j, h) of a flat (d, d, d) tensor, the flat slot of its
+    sorted index triple (lo, mid, hi)."""
+    i, j, h = np.indices((d, d, d))
+    lo, hi = np.minimum(np.minimum(i, j), h), np.maximum(np.maximum(i, j), h)
+    slots = np.ravel_multi_index((lo, i + j + h - lo - hi, hi), (d, d, d)).ravel()
+    slots.setflags(write=False)
+    return slots
+
+
 def _canonical(values: np.ndarray) -> np.ndarray:
     """Map every entry of each (d,d,d) tensor of a stack to its sorted-index value.
 
     Output is exactly invariant under index permutations. Raises if a
     tensor deviates from symmetry by more than SYMMETRY_RTOL relative.
     """
-    # gather at (lo, mid, hi) of each triple; mid = i + j + h - lo - hi
-    i, j, h = np.indices(values.shape[-3:])
-    lo, hi = np.minimum(np.minimum(i, j), h), np.maximum(np.maximum(i, j), h)
-    canon = values[..., lo, i + j + h - lo - hi, hi]
+    d = values.shape[-1]
+    flat = values.reshape(*values.shape[:-3], d**3)
+    canon = np.take(flat, _sorted_slots(d), axis=-1).reshape(values.shape)
     tensor_axes = (-3, -2, -1)
     scale = np.maximum(np.abs(values).max(axis=tensor_axes), 1.0)
     if np.any(np.abs(canon - values).max(axis=tensor_axes) > SYMMETRY_RTOL * scale):
@@ -60,12 +76,37 @@ def _checked(values: np.ndarray) -> np.ndarray:
     return _canonical(tensors).reshape(values.shape)
 
 
+@functools.cache
+def pair_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i <= j, of the d(d+1)/2 distinct products
+    x_i x_j, and for each of the d^2 slots (i, j) the position of its pair."""
+    first, second = np.triu_indices(d)
+    slot = np.empty((d, d), dtype=np.intp)
+    slot[first, second] = slot[second, first] = np.arange(first.size)
+    for index in (first, second, slot):
+        index.setflags(write=False)
+    return first, second, slot.ravel()
+
+
 def _third_products(rows: np.ndarray) -> np.ndarray:
     """The (..., d^2, d) average of x (x) x' (x) x over the rows of each row
-    set in a stack (..., n, d), not symmetrized."""
-    *lead, n, d = rows.shape
-    pairs = (rows[..., :, None] * rows[..., None, :]).reshape(*lead, n, d * d)
-    return np.swapaxes(pairs, -1, -2) @ rows / n
+    set in a stack (..., n, d), not symmetrized.
+
+    Sums pairs' @ block over blocks of max(64, 2^14 // d^2) rows, a rule in d
+    alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j; each
+    summed row then fills both slots (i, j) and (j, i).
+    """
+    n, d = rows.shape[-2:]
+    first, second, slot = pair_layout(d)
+    size = max(64, 2**14 // (d * d))
+    sums = 0.0
+    for start in range(0, n, size):
+        block = rows[..., start:start + size, :]
+        columns = np.ascontiguousarray(np.swapaxes(block, -1, -2))
+        pairs = np.take(columns, first, axis=-2)
+        pairs *= np.take(columns, second, axis=-2)
+        sums = sums + pairs @ block
+    return np.take(sums / n, slot, axis=-2)
 
 
 def moment_stack(rows: np.ndarray) -> np.ndarray:

@@ -7,6 +7,9 @@ c <- normalize(K' (c (x) c)), from the eigenvectors of every cumulant block
 plus fixed-seed random unit vectors. The restarts of a stack of cumulants
 run as one batch: an iteration is one stacked product K' [c_r (x) c_r]_r,
 and a column freezes once its step is within CONVERGENCE_TOL or is zero.
+The product is taken over the distinct products c_i c_j, i <= j, in column
+groups small enough that BLAS runs each on one thread, so the search's bits
+do not depend on the BLAS thread count.
 max_skew searches a stack of one cumulant per component, the Directional
 bootstrap a block of resamples at once. Later directions repeat the search
 in the orthogonal complement B of those found (deflation), on
@@ -20,13 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreconditionError, as_data_matrix, require_integers
-from .moments import moment_stack, third_moment, transform_third
+from .moments import moment_stack, pair_layout, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
 
 # fixed seed for the random restarts: results are deterministic by contract
 RESTART_SEED = 20240611
 N_RANDOM_RESTARTS = 8
+
+# a matrix product of at most this many multiply-adds runs on one thread in
+# OpenBLAS (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
+SERIAL_PRODUCT = 2**18
 
 # stop power iteration early once successive iterates are this close
 CONVERGENCE_TOL = 1e-12
@@ -73,9 +80,49 @@ def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
 
 
 def _pairs(c: np.ndarray) -> np.ndarray:
-    """The (b, m^2, R) stack whose column r of slice k is c_kr (x) c_kr."""
+    """The (b, m(m+1)/2, R) stack whose column r of slice k holds the distinct
+    products c_i c_j, i <= j, of c_kr."""
     b, m, r = c.shape
-    return (c[:, :, None, :] * c[:, None, :, :]).reshape(b, m * m, r)
+    pairs = np.empty((b, m * (m + 1) // 2, r))
+    start = 0
+    for i in range(m):  # rows (i, i..m-1), written in place: one allocation
+        np.multiply(c[:, i:i + 1], c[:, i:], out=pairs[:, start:start + m - i])
+        start += m - i
+    return pairs
+
+
+def _distinct_rows(cumulant: np.ndarray) -> np.ndarray:
+    """The (b, m, m(m+1)/2) stack D with D @ _pairs(c) = K' (c (x) c) for each
+    cumulant K of a stack (b, m^2, m): the rows (i, j), i <= j, of K,
+    transposed, those with i < j doubled (exactly) for their twins (j, i)."""
+    m = cumulant.shape[2]
+    first, second, _ = pair_layout(m)
+    return np.swapaxes(cumulant[:, first * m + second]
+                       * np.where(first == second, 1.0, 2.0)[:, None], 1, 2)
+
+
+def _step(distinct: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """distinct @ _pairs(c), for distinct = _distinct_rows(K): K' (c_r (x) c_r)
+    for every column c_r of each slice.
+
+    The columns are multiplied in groups of at most SERIAL_PRODUCT
+    multiply-adds, all whole groups in one batched matmul and the rest in
+    one more, so BLAS runs every product on one thread and the bits do not
+    depend on the thread count. That holds for m <= 80; beyond, one column
+    alone exceeds SERIAL_PRODUCT.
+    """
+    pairs = _pairs(c)
+    (b, m, p), r = distinct.shape, c.shape[2]
+    width = max(1, SERIAL_PRODUCT // (m * p))
+    whole = r - r % width
+    step = np.empty((b, m, r))
+
+    def groups(a):  # (b, k, whole) -> (b, whole // width, k, width), a view
+        return a[:, :, :whole].reshape(b, a.shape[1], whole // width, width).transpose(0, 2, 1, 3)
+
+    np.matmul(distinct[:, None], groups(pairs), out=groups(step))
+    np.matmul(distinct, pairs[:, :, whole:], out=step[:, :, whole:])
+    return step
 
 
 def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
@@ -88,20 +135,21 @@ def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarr
     differently at another width.
     """
     c = _restart_directions(cumulant)
+    distinct = _distinct_rows(cumulant)
     running = np.ones((c.shape[0], c.shape[2]), dtype=bool)
     for _ in range(iterations):
         columns = np.flatnonzero(running.any(axis=0))
         if not columns.size:
             break
         current = c[:, :, columns]
-        step = cumulant.transpose(0, 2, 1) @ _pairs(current)
+        step = _step(distinct, current)
         norm = np.linalg.norm(step, axis=1)
         # zero step: c is stationary (exactly symmetric data), keep it, stop
         moving = running[:, columns] & (norm > 0.0)
         step = np.divide(step, norm[:, None], out=current.copy(), where=moving[:, None])
         c[:, :, columns] = step
         running[:, columns] = moving & ~(np.linalg.norm(step - current, axis=1) < CONVERGENCE_TOL)
-    gamma = np.einsum("bhr,bhr->br", c, cumulant.transpose(0, 2, 1) @ _pairs(c))
+    gamma = np.einsum("bhr,bhr->br", c, _step(distinct, c))
     # deterministic reduction: larger |skewness| wins, the earliest restart
     # breaks ties
     slices, best = np.arange(len(c)), np.argmax(np.abs(gamma), axis=1)

@@ -476,23 +476,54 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_outputs_independent_of_blas_threads(tmp_path, iris_path):
-    # BLAS reads its thread count at load time, so each count needs its own
-    # process; every output file must match byte for byte at full precision
+# a wide session: at d = 32, BLAS splits the moment's and the search's
+# products between threads
+WIDE_JOBS = (
+    ("third", "--kind", "standardized"),
+    ("skew", "--measure", "all"),
+    ("maxskew", "--iterations", "50", "--components", "2"),
+    ("minskew", "--dimension", "16"),
+    ("boot", "--measure", "Directional", "--replicates", "2", "--units", "200"),
+    ("boot", "--measure", "Mardia", "--replicates", "10", "--units", "200"),
+)
+
+
+def _session_trees(root: Path, input_path: Path, jobs, options) -> dict:
+    """Every output file of a session at 1 and 2 BLAS threads, by relative path.
+
+    BLAS reads its thread count at load time, so each count needs its own
+    process; each job writes at full precision into its own directory.
+    """
     src = str(Path(mvskew.__file__).resolve().parents[1])
     trees = {}
     for threads in ("1", "2"):
-        root = tmp_path / f"threads{threads}"
-        argvs = [[job[0], str(iris_path), *job[1:], "--columns", "1-4",
-                  "--precision", "15", "--output-dir", str(root / str(k))]
-                 for k, job in enumerate(SESSION_JOBS)]
+        out = root / f"threads{threads}"
+        argvs = [[job[0], str(input_path), *job[1:], *options,
+                  "--precision", "15", "--output-dir", str(out / str(k))]
+                 for k, job in enumerate(jobs)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         result = subprocess.run(
             [sys.executable, "-c", SESSION_SCRIPT, json.dumps(argvs)],
             env=env, capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        trees[threads] = {path.relative_to(root): path.read_bytes()
-                          for path in sorted(root.rglob("*")) if path.is_file()}
+        trees[threads] = {path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()}
+    return trees
+
+
+def test_outputs_independent_of_blas_threads(tmp_path, iris_path):
+    # every output file must match byte for byte at full precision
+    trees = _session_trees(tmp_path / "iris", iris_path, SESSION_JOBS, ("--columns", "1-4"))
+    assert len(trees["1"]) == 17
+    assert trees["1"] == trees["2"]
+
+    rng = np.random.default_rng(32)
+    values = (rng.gamma(2.0, size=(2000, 32)) @ rng.standard_normal((32, 32))
+              + 0.1 * rng.standard_normal((2000, 32)))
+    wide = tmp_path / "wide.csv"
+    np.savetxt(wide, values, fmt="%.9g", delimiter=",", comments="",
+               header=",".join(f"x{j + 1}" for j in range(32)))
+    trees = _session_trees(tmp_path / "wide", wide, WIDE_JOBS, ())
     assert len(trees["1"]) == 17
     assert trees["1"] == trees["2"]

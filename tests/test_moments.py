@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -17,7 +18,7 @@ from mvskew import (
     third_moment,
     transform_third,
 )
-from mvskew.moments import SYMMETRY_RTOL
+from mvskew.moments import SYMMETRY_RTOL, _third_products
 
 
 def pooled_with_reflection(values: np.ndarray) -> np.ndarray:
@@ -99,6 +100,42 @@ def test_standardized_equals_raw_of_standardized(iris):
     direct = third_moment(iris, "standardized")
     via_raw = third_moment(standardize(iris), "raw")
     assert np.abs(direct.values - via_raw.values).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the row-blocked kernel: blocks of max(64, 2^14 // d^2) rows, 256 at d = 8
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("n,d", [(100, 8), (256, 8), (600, 8), (64, 32), (130, 32), (7, 1)])
+def test_third_products_match_einsum(stack, n, d):
+    # n below, equal to and not a multiple of the block size
+    rows = np.random.default_rng(n * d).gamma(2.0, size=(*stack, n, d))
+    reference = np.einsum("...ni,...nj,...nh->...ijh", rows, rows, rows) / n
+    products = _third_products(rows)
+    assert products.shape == (*stack, d * d, d)
+    scale = np.abs(reference).max()
+    assert np.abs(products - reference.reshape(products.shape)).max() <= 1e-13 * scale
+
+
+def test_third_products_of_a_stack_slice_match_the_slice_alone():
+    rows = np.random.default_rng(4).gamma(2.0, size=(3, 600, 8))  # 3 blocks each
+    stacked = _third_products(rows)
+    for k in range(len(rows)):
+        assert np.array_equal(stacked[k], _third_products(rows[k]))
+
+
+def test_third_moment_never_holds_the_pair_array():
+    # the n x d^2 array of pairwise products of 50 000 x 8 data is 25.6 MB
+    data = DataMatrix(np.random.default_rng(5).gamma(2.0, size=(50_000, 8)),
+                      tuple(f"x{j + 1}" for j in range(8)))
+    tracemalloc.start()
+    try:
+        third_moment(data, "raw")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------

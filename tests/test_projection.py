@@ -293,3 +293,16 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
     monkeypatch.setattr(projection, "_pairs", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
     assert (len(widths), sum(widths)) == (128, 3300)
+
+
+@pytest.mark.parametrize("m,r", [(3, 5), (8, 1), (8, 910), (8, 2000), (31, 17), (31, 969)])
+def test_step_applies_each_cumulant_to_each_pair(m, r):
+    # columns go in groups of 910 at m = 8 and 17 at m = 31: r below one
+    # group, exactly one, and whole groups plus a rest
+    rng = np.random.default_rng(m * r)
+    cumulant = moment_stack(rng.gamma(2.0, size=(2, 50, m)))
+    c = rng.standard_normal((2, m, r))
+    pairs = (c[:, :, None, :] * c[:, None, :, :]).reshape(2, m * m, r)
+    reference = cumulant.transpose(0, 2, 1) @ pairs
+    step = projection._step(projection._distinct_rows(cumulant), c)
+    assert np.abs(step - reference).max() <= 1e-13 * np.abs(reference).max()
