@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import SingularityError, as_data_matrix
-from .moments import moment_stack, third_moment
+from .moments import third_entries, triple_layout
 from .projection import max_skew
 
 __all__ = [
@@ -90,11 +90,13 @@ def fisher_skew(data) -> np.ndarray:
     """Per-column skewness: third central moment over sigma^3 (1/n weights)."""
     data = as_data_matrix(data)
     centered = data.values - data.values.mean(axis=0)
-    m2 = (centered**2).mean(axis=0)
+    squared = centered * centered
+    m2 = squared.mean(axis=0)
     if np.any(m2 <= 0):
         bad = data.names[int(np.argmin(m2))]
         raise SingularityError(f"column {bad!r} has zero variance")
-    m3 = (centered**3).mean(axis=0)
+    # multiplies, not centered**3, which calls C pow on every entry
+    m3 = (squared * centered).mean(axis=0)
     return m3 / m2**1.5
 
 
@@ -105,7 +107,7 @@ def mardia_skewness(data) -> SkewnessReport:
     the chi-square upper-tail p-value (computed on first read).
     """
     data = as_data_matrix(data)
-    value = _mardia(third_moment(data, "standardized").values)
+    value = float(mardia_values(data.whitening[0][None])[0])
     return SkewnessReport(
         measure="mardia",
         value=value,
@@ -114,19 +116,17 @@ def mardia_skewness(data) -> SkewnessReport:
     )
 
 
-def _mardia(moment: np.ndarray) -> float:
-    """Mardia's skewness of one standardized (d^2, d) third moment.
+def mardia_values(z: np.ndarray) -> np.ndarray:
+    """Mardia's skewness of each whitened row set in a stack (b, n, d): the
+    sum, over the distinct entries of its third moment, of each entry's
+    multiplicity times its square.
 
-    Takes one matrix, never a stack: numpy's summation order depends on
-    the array's shape, and a stacked sum can differ in the last bits.
+    numpy sums each slice's contiguous row of terms by itself, so a slice
+    has the same value alone as in a stack: for the whitened rows of x,
+    ``mardia_skewness(x).value`` to the bit.
     """
-    return float((moment ** 2).sum())
-
-
-def mardia_values(z: np.ndarray) -> list[float]:
-    """Mardia's skewness of each whitened row set in a stack (b, n, d): for
-    the whitened rows of x, ``mardia_skewness(x).value`` to the bit."""
-    return [_mardia(moment) for moment in moment_stack(z)]
+    entries = third_entries(z)
+    return (triple_layout(z.shape[-1])[1] * entries**2).sum(axis=-1)
 
 
 def _mori(z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,13 @@ sorted-index value into every permuted slot.
 The sample moment is summed over fixed blocks of rows, a block size that
 depends on d alone, from the d(d+1)/2 distinct pairwise products x_i x_j,
 i <= j. No n x d^2 array of pairwise products is built, and a row set's
-moment has the same bits alone as in a stack of row sets.
+moment has the same bits alone as in a stack of row sets. From those sums
+the kernel keeps the d(d+1)(d+2)/6 distinct entries m[i,j,h], i <= j <= h;
+a consumer that needs the matrix fills every slot from its sorted triple,
+so a computed moment is exactly symmetric by construction. The finiteness
+and symmetry checks run only in the ThirdMomentMatrix constructor, which
+matrices from elsewhere pass through (load_third_moment, transform_third,
+cumulant_from_moments); the stacked routes never do.
 """
 
 from __future__ import annotations
@@ -52,28 +58,17 @@ def _sorted_slots(d: int) -> np.ndarray:
 
 
 def _canonical(values: np.ndarray) -> np.ndarray:
-    """Map every entry of each (d,d,d) tensor of a stack to its sorted-index value.
-
-    Output is exactly invariant under index permutations. Raises if a
-    tensor deviates from symmetry by more than SYMMETRY_RTOL relative.
-    """
-    d = values.shape[-1]
-    flat = values.reshape(*values.shape[:-3], d**3)
-    canon = np.take(flat, _sorted_slots(d), axis=-1).reshape(values.shape)
-    tensor_axes = (-3, -2, -1)
-    scale = np.maximum(np.abs(values).max(axis=tensor_axes), 1.0)
-    if np.any(np.abs(canon - values).max(axis=tensor_axes) > SYMMETRY_RTOL * scale):
+    """Map every entry of a (d^2, d) matrix to the value at its sorted index
+    triple, after checking it is finite and index-symmetric to within
+    SYMMETRY_RTOL relative. Output is exactly invariant under index
+    permutations."""
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
+    canon = values.ravel()[_sorted_slots(values.shape[1])].reshape(values.shape)
+    if np.abs(canon - values).max() > SYMMETRY_RTOL * max(np.abs(values).max(), 1.0):
         raise DataError("matrix violates third-moment index symmetry")
     return canon
-
-
-def _checked(values: np.ndarray) -> np.ndarray:
-    """Each (d^2, d) matrix of a stack, checked finite and made exactly symmetric."""
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0][-2:]
-        raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
-    tensors = values.reshape(values.shape[:-2] + (values.shape[-1],) * 3)
-    return _canonical(tensors).reshape(values.shape)
 
 
 @functools.cache
@@ -88,16 +83,38 @@ def pair_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, slot.ravel()
 
 
-def _third_products(rows: np.ndarray) -> np.ndarray:
-    """The (..., d^2, d) average of x (x) x' (x) x over the rows of each row
-    set in a stack (..., n, d), not symmetrized.
+@functools.cache
+def triple_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The d(d+1)(d+2)/6 sorted index triples (i, j, h), i <= j <= h, in
+    lexicographic order: for each, its position in the flat (d(d+1)/2, d)
+    array of pair sums (row (i, j), column h) and its multiplicity 1, 3 or 6
+    among the d^3 slots; then, for each slot of a flat (d, d, d) tensor, the
+    position of its sorted triple."""
+    slot = pair_layout(d)[2]
+    i, j, h = np.indices((d, d, d)).reshape(3, -1)
+    distinct = (i <= j) & (j <= h)
+    i, j, h = i[distinct], j[distinct], h[distinct]
+    position = slot[i * d + j] * d + h
+    weight = np.where(i == h, 1.0, np.where((i == j) | (j == h), 3.0, 6.0))
+    rank = np.full(d**3, -1, dtype=np.intp)
+    rank[distinct] = np.arange(i.size)
+    fill = rank[_sorted_slots(d)]
+    for array in (position, weight, fill):
+        array.setflags(write=False)
+    return position, weight, fill
+
+
+def third_entries(rows: np.ndarray) -> np.ndarray:
+    """The (..., d(d+1)(d+2)/6) distinct entries m_ijh, i <= j <= h, ordered
+    as in triple_layout(d), of the average of x (x) x' (x) x over the rows of
+    each row set in a stack (..., n, d).
 
     Sums pairs' @ block over blocks of max(64, 2^14 // d^2) rows, a rule in d
-    alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j; each
-    summed row then fills both slots (i, j) and (j, i).
+    alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j; entry
+    (i, j, h) is then the sum in row (i, j), column h, over n.
     """
     n, d = rows.shape[-2:]
-    first, second, slot = pair_layout(d)
+    first, second, _ = pair_layout(d)
     size = max(64, 2**14 // (d * d))
     sums = 0.0
     for start in range(0, n, size):
@@ -106,17 +123,23 @@ def _third_products(rows: np.ndarray) -> np.ndarray:
         pairs = np.take(columns, first, axis=-2)
         pairs *= np.take(columns, second, axis=-2)
         sums = sums + pairs @ block
-    return np.take(sums / n, slot, axis=-2)
+    # an explicit length: a stack of no row sets has no -1 to infer
+    flat = sums.reshape(sums.shape[:-2] + (first.size * d,))
+    return np.take(flat, triple_layout(d)[0], axis=-1) / n
 
 
 def moment_stack(rows: np.ndarray) -> np.ndarray:
-    """Third moments of each row set in a stack (b, n, d), as a (b, d^2, d) array.
+    """Third moments of each row set in a stack (..., n, d), as a (..., d^2, d)
+    array, every slot filled from its sorted triple of third_entries(rows).
 
-    Slice k is, to the bit and after the same checks, what ThirdMomentMatrix
-    stores for the third products of ``rows[k]`` alone; for the whitened rows
-    of x, that is ``third_moment(x, "standardized").values``.
+    Slice k is, to the bit, what ThirdMomentMatrix stores for ``rows[k]``
+    alone; for the whitened rows of x, that is
+    ``third_moment(x, "standardized").values``.
     """
-    return _checked(_third_products(rows))
+    d = rows.shape[-1]
+    entries = third_entries(rows)
+    filled = np.take(entries, triple_layout(d)[2], axis=-1)
+    return filled.reshape(entries.shape[:-1] + (d * d, d))
 
 
 @dataclass(frozen=True)
@@ -139,7 +162,7 @@ class ThirdMomentMatrix:
         rows, d = values.shape
         if d == 0 or rows != d * d:
             raise DataError(f"expected shape (d^2, d) with d >= 1, got {values.shape}")
-        values = _checked(values)
+        values = _canonical(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -178,7 +201,7 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
         rows = data.values - data.values.mean(axis=0)
     else:
         rows = data.whitening[0]
-    return ThirdMomentMatrix(_third_products(rows), kind)
+    return ThirdMomentMatrix(moment_stack(rows), kind)
 
 
 def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:

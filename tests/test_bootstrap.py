@@ -12,8 +12,11 @@ from mvskew import (
     mardia_skewness,
     partial_skewness,
     skew_boot,
+    third_moment,
 )
-from mvskew.bootstrap import BLOCK_ELEMENTS, DIRECTIONAL_ITERATIONS, MAX_REDRAWS
+from mvskew import moments
+from mvskew.bootstrap import BLOCK_ELEMENTS, DIRECTIONAL_ITERATIONS, MAX_REDRAWS, MEASURES
+from mvskew.measures import mardia_values
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,28 @@ def test_directional_replicates_build_no_data_matrix(iris, monkeypatch):
     monkeypatch.setattr(DataMatrix, "__post_init__", counted)
     skew_boot(fresh, replicates=54, units=150, measure="Directional", seed=3)
     assert built == []
+
+
+def test_stacked_routes_skip_the_symmetry_check(iris, monkeypatch):
+    # computed moments are filled exactly symmetric; only the ThirdMomentMatrix
+    # constructor runs _canonical, which third_moment still passes through
+    calls = []
+    canonical = moments._canonical
+
+    def counted(values):
+        calls.append(values.shape)
+        return canonical(values)
+
+    monkeypatch.setattr(moments, "_canonical", counted)
+    fresh = DataMatrix(iris.values, iris.names)
+    z = fresh.whitening[0][None]
+    moments.moment_stack(z)
+    mardia_values(z)
+    for measure in MEASURES:
+        skew_boot(fresh, replicates=30, units=150, measure=measure, seed=2)
+    assert calls == []
+    third_moment(fresh, "standardized")
+    assert calls == [(16, 4)]
 
 
 def test_block_memory_stays_small(iris):

@@ -18,7 +18,8 @@ from mvskew import (
     third_moment,
     transform_third,
 )
-from mvskew.moments import SYMMETRY_RTOL, _third_products
+from mvskew.measures import mardia_values
+from mvskew.moments import SYMMETRY_RTOL, moment_stack, third_entries, triple_layout
 
 
 def pooled_with_reflection(values: np.ndarray) -> np.ndarray:
@@ -112,7 +113,7 @@ def test_third_products_match_einsum(stack, n, d):
     # n below, equal to and not a multiple of the block size
     rows = np.random.default_rng(n * d).gamma(2.0, size=(*stack, n, d))
     reference = np.einsum("...ni,...nj,...nh->...ijh", rows, rows, rows) / n
-    products = _third_products(rows)
+    products = moment_stack(rows)
     assert products.shape == (*stack, d * d, d)
     scale = np.abs(reference).max()
     assert np.abs(products - reference.reshape(products.shape)).max() <= 1e-13 * scale
@@ -120,9 +121,9 @@ def test_third_products_match_einsum(stack, n, d):
 
 def test_third_products_of_a_stack_slice_match_the_slice_alone():
     rows = np.random.default_rng(4).gamma(2.0, size=(3, 600, 8))  # 3 blocks each
-    stacked = _third_products(rows)
+    stacked = moment_stack(rows)
     for k in range(len(rows)):
-        assert np.array_equal(stacked[k], _third_products(rows[k]))
+        assert np.array_equal(stacked[k], moment_stack(rows[k]))
 
 
 def test_third_moment_never_holds_the_pair_array():
@@ -136,6 +137,63 @@ def test_third_moment_never_holds_the_pair_array():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+# ---------------------------------------------------------------------------
+# distinct entries: the d(d+1)(d+2)/6 sums m_ijh, i <= j <= h, and their fill
+# ---------------------------------------------------------------------------
+
+def _block_size(d):
+    return max(64, 2**14 // (d * d))
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("d", [1, 4, 8, 32])
+@pytest.mark.parametrize("blocks", [0.5, 1, 2.3], ids=["below", "at", "past"])
+def test_mardia_from_distinct_entries_matches_the_full_sum(stack, d, blocks):
+    n = int(blocks * _block_size(d))
+    rows = np.random.default_rng(n + d).gamma(2.0, size=(*stack, n, d))
+    moment = np.einsum("...ni,...nj,...nh->...ijh", rows, rows, rows) / n
+    reference = (moment**2).sum(axis=(-3, -2, -1))
+    values = mardia_values(rows)
+    assert values.shape == stack
+    assert np.all(np.abs(values - reference) <= 1e-13 * reference)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
+def test_triple_weights_count_the_slots(d):
+    position, weight, fill = triple_layout(d)
+    assert position.size == weight.size == d * (d + 1) * (d + 2) // 6
+    assert weight.sum() == d**3
+    # each distinct triple's weight is how many slots the fill maps to it
+    assert np.array_equal(np.bincount(fill, minlength=weight.size), weight)
+
+
+@pytest.mark.parametrize("d", [3, 8, 32])
+def test_fill_is_exactly_index_symmetric(d):
+    rows = np.random.default_rng(d).gamma(1.5, size=(2, 70, d))
+    tensors = moment_stack(rows).reshape(2, d, d, d)
+    for axes in permutations((1, 2, 3)):
+        assert np.array_equal(tensors.transpose(0, *axes), tensors)
+    # the constructor's canonical map leaves a filled moment's bits alone
+    assert np.array_equal(ThirdMomentMatrix(moment_stack(rows[0]), "raw").values,
+                          moment_stack(rows[0]))
+
+
+def test_distinct_entries_are_the_matrix_at_sorted_triples():
+    d = 5
+    rows = np.random.default_rng(3).gamma(2.0, size=(40, d))
+    tensor = third_moment(rows, "raw").tensor()
+    triples = [(i, j, h) for i in range(d) for j in range(i, d) for h in range(j, d)]
+    assert third_entries(rows).tolist() == [tensor[t] for t in triples]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_empty_stack_gives_empty_results():
+    # a bootstrap block whose resamples are all singular whitens to (0, n, d)
+    rows = np.empty((0, 10, 3))
+    assert moment_stack(rows).shape == (0, 9, 3)
+    assert mardia_values(rows).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
