@@ -148,7 +148,8 @@ def _write_basis(args, basis: ProjectionBasis, prefix: str,
                    "skewness": basis.skewness,
                    "projections": basis.projected}
         if basis.restarts:  # max_skew's per-component search diagnostics
-            payload.update(restarts=basis.restarts, converged=basis.converged)
+            payload.update(restarts=basis.restarts, converged=basis.converged,
+                           winners=basis.winners)
         _write(args, f"{prefix}.json", payload)
         return None
     for stem, matrix in ((linear_name, basis.directions), ("skewness", basis.skewness)):

@@ -199,11 +199,6 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _ignored(cell: str) -> float:
-    """Converter for a column the caller did not select."""
-    return 0.0
-
-
 def _label_converter():
     """Converter that reads a label column as zeros.
 
@@ -320,26 +315,33 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
 
         if columns is None:
             keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
-            unread = _label_converter()
+            # the label converter must see every cell, to raise on a number
+            label = _label_converter()
+            unread, converters = "f8", {j: label for j in range(width) if j not in keep}
         else:
             keep = _resolve_columns(list(columns), names)
             if not keep:
                 raise PreconditionError("empty column selection")
-            unread = _ignored
+            # an unselected column is read as its first character, in C
+            unread, converters = "U1", None
+        # every cell is a field of the row's record, so numpy checks each
+        # row's cell count
+        record = np.dtype([(f"f{j}", "f8" if j in keep else unread) for j in range(width)])
         try:
-            # every column is parsed, so numpy checks each row's cell count
-            values = np.loadtxt(
+            table = np.loadtxt(
                 path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
-                encoding="utf-8-sig", ndmin=2,
-                converters={j: unread for j in range(width) if j not in keep})
-            if values.shape[1] != width or not np.isfinite(values[:, keep]).all():
-                raise ValueError("a row or a cell could not be read")
+                encoding="utf-8-sig", ndmin=1, dtype=record, converters=converters)
+            values = np.empty((len(table), len(keep)))
+            for i, j in enumerate(keep):
+                values[:, i] = table[f"f{j}"]
+            if not np.isfinite(values).all():
+                raise ValueError("a cell could not be read")
         except ValueError as exc:
             _raise_fault(path, header, None if columns is None else keep)
             raise DataError(f"{path}: {exc}") from None
         if not keep:
             raise DataError(f"{path}: no numeric columns found")
-        return DataMatrix(values[:, keep], tuple(names[j] for j in keep))
+        return DataMatrix(values, tuple(names[j] for j in keep))
     except UnicodeDecodeError:
         # the decoder counts from the start of its read chunk: decode the
         # whole file again for the offset in the file

@@ -3,10 +3,12 @@
 For whitened rows z and a unit vector c, the sample skewness of z @ c is
 the cubic form (c (x) c)' K c on the third cumulant K of z, so the search
 needs K alone. Each direction is found by tensor power iteration,
-c <- normalize(K' (c (x) c)), from the eigenvectors of every cumulant block
-plus fixed-seed random unit vectors. The restarts of a stack of cumulants
-run as one batch: an iteration is one stacked product K' [c_r (x) c_r]_r,
-and a column freezes once its step is within CONVERGENCE_TOL or is zero.
+c <- normalize(K' (c (x) c)), from the eigenvectors of the RESTART_BLOCKS
+cumulant blocks of largest Frobenius norm (every block when m <= 4) plus
+fixed-seed random unit vectors: min(m, 4) m + 8 restarts in m dimensions,
+136 at m = 32. The restarts of a stack of cumulants run as one batch: an
+iteration is one stacked product K' [c_r (x) c_r]_r, and a column freezes
+once its step is within CONVERGENCE_TOL or is zero.
 The product is taken over the distinct products c_i c_j, i <= j, in column
 groups small enough that BLAS runs each on one thread, so the search's bits
 do not depend on the BLAS thread count.
@@ -30,6 +32,8 @@ __all__ = ["ProjectionBasis", "max_skew"]
 # fixed seed for the random restarts: results are deterministic by contract
 RESTART_SEED = 20240611
 N_RANDOM_RESTARTS = 8
+# blocks of largest Frobenius norm whose eigenvectors start the search
+RESTART_BLOCKS = 4
 
 # a matrix product of at most this many multiply-adds runs on one thread in
 # OpenBLAS (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
@@ -50,8 +54,9 @@ class ProjectionBasis:
     per-column attained values: signed sample skewness for max_skew output,
     singular values of the standardized cumulant for min_skew output, with
     non-increasing magnitudes either way. max_skew also reports, per
-    component, its ``restarts`` and how many ``converged`` (stopped within
-    the iteration budget); both are empty for min_skew output.
+    component, its ``restarts``, how many ``converged`` (stopped within the
+    iteration budget) and which restart (0-based) ``winners`` attained the
+    value; all three are empty for min_skew output.
     """
 
     directions: np.ndarray
@@ -60,23 +65,28 @@ class ProjectionBasis:
     projected: np.ndarray
     restarts: tuple[int, ...] = ()
     converged: tuple[int, ...] = ()
+    winners: tuple[int, ...] = ()
 
 
 def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
-    """Eigenvectors of every block of each cumulant in a stack (b, m^2, m),
-    then fixed random unit vectors: an m x (m^2 + N_RANDOM_RESTARTS) slice each.
+    """Eigenvectors of the min(m, RESTART_BLOCKS) blocks of largest Frobenius
+    norm of each cumulant in a stack (b, m^2, m), block by block in
+    decreasing norm, then fixed random unit vectors: an
+    m x (min(m, RESTART_BLOCKS) m + N_RANDOM_RESTARTS) slice each.
 
-    Blocks are ordered by decreasing Frobenius norm so the dominant block's
-    eigenvectors come first; small-basin optima are often reachable only
-    from the weaker blocks' eigenvectors.
+    Only the chosen blocks are decomposed. On seeded gamma-mixed, lognormal
+    and exponential sets the weaker blocks' eigenvectors did not raise the
+    attained skewness (tests/test_projection.py checks this against every
+    block's eigenvectors).
     """
     b, _, m = cumulant.shape
+    kept = min(m, RESTART_BLOCKS)
     blocks = cumulant.reshape(b, m, m, m)
-    order = np.argsort(-np.linalg.norm(blocks, axis=(2, 3)), axis=1, kind="stable")
+    order = np.argsort(-np.linalg.norm(blocks, axis=(2, 3)), axis=1, kind="stable")[:, :kept]
     eigvecs = np.linalg.eigh(blocks[np.arange(b)[:, None], order])[1]
     random = np.random.default_rng(RESTART_SEED).standard_normal((N_RANDOM_RESTARTS, m)).T
     random = np.broadcast_to(random / np.linalg.norm(random, axis=0), (b, m, N_RANDOM_RESTARTS))
-    return np.concatenate([eigvecs.transpose(0, 2, 1, 3).reshape(b, m, m * m), random], axis=2)
+    return np.concatenate([eigvecs.transpose(0, 2, 1, 3).reshape(b, m, kept * m), random], axis=2)
 
 
 def _pairs(c: np.ndarray) -> np.ndarray:
@@ -125,14 +135,15 @@ def _step(distinct: np.ndarray, c: np.ndarray) -> np.ndarray:
     return step
 
 
-def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+def _search(cumulant: np.ndarray,
+            iterations: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """Most-skewed unit direction under each whitened third cumulant of a
     stack (b, m^2, m): the (b, m) directions, signed so that their skewness
-    is positive, those b skewness values, the number of restarts and how
-    many converged per cumulant. A restart column runs while any cumulant
-    needs it and a stopped entry keeps its value, so each result is the one
-    its cumulant gets alone, up to BLAS and numpy rounding a column
-    differently at another width.
+    is positive, those b skewness values, the number of restarts, and per
+    cumulant how many converged and which restart won. A restart column
+    runs while any cumulant needs it and a stopped entry keeps its value, so
+    each result is the one its cumulant gets alone, up to BLAS and numpy
+    rounding a column differently at another width.
     """
     c = _restart_directions(cumulant)
     distinct = _distinct_rows(cumulant)
@@ -155,7 +166,7 @@ def _search(cumulant: np.ndarray, iterations: int) -> tuple[np.ndarray, np.ndarr
     slices, best = np.arange(len(c)), np.argmax(np.abs(gamma), axis=1)
     sign = np.where(gamma[slices, best] < 0, -1.0, 1.0)
     return (c[slices, :, best] * sign[:, None], gamma[slices, best] * sign, c.shape[2],
-            (~running).sum(axis=1))
+            (~running).sum(axis=1), best)
 
 
 def directional_values(z: np.ndarray, iterations: int) -> np.ndarray:
@@ -203,11 +214,11 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
     for j in range(components):
         if j:  # K seen from the not-yet-searched subspace
             reduced = transform_third(cumulant, basis.T)
-        (c,), (gamma,), tried, (settled,) = _search(reduced.values[None], iterations)
-        found.append((basis @ c, gamma, tried, int(settled)))
+        (c,), (gamma,), tried, (settled,), (winner,) = _search(reduced.values[None], iterations)
+        found.append((basis @ c, gamma, tried, int(settled), int(winner)))
         # shrink the search space to the orthogonal complement
         basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
-    columns, gammas, restarts, converged = zip(*found)
+    columns, gammas, restarts, converged, winners = zip(*found)
 
     standardized_directions = np.column_stack(columns)
     projected = z @ standardized_directions
@@ -219,4 +230,5 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
         projected=projected,
         restarts=restarts,
         converged=converged,
+        winners=winners,
     )

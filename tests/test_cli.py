@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mvskew
-from mvskew import load_third_moment
+from mvskew import load_csv, load_third_moment, max_skew
 from mvskew.cli import main
 
 
@@ -148,6 +148,8 @@ def test_maxskew_json_carries_search_diagnostics(tmp_path, iris_path):
     payload = json.loads((tmp_path / "maxskew.json").read_text())
     assert payload["restarts"] == [4 * 4 + 8, 3 * 3 + 8]
     assert all(0 <= c <= r for c, r in zip(payload["converged"], payload["restarts"]))
+    iris = load_csv(iris_path, columns=[1, 2, 3, 4])
+    assert payload["winners"] == list(max_skew(iris, 50, 2).winners)
 
 
 def test_maxskew_component_bound_exit_2(tmp_path, iris_path, capsys):

@@ -2,8 +2,9 @@
 
 Property tests draw finite matrices, extreme values included, and vary the
 file's layout: header or none, quoted cells, CRLF line ends, blank lines and
-a trailing text label column. Values must come back bit for bit; a cell that
-is not a finite number must be named by its row and column.
+a trailing text label column, and read every column or a selection. Values
+must come back bit for bit; a cell that is not a finite number must be named
+by its row and column.
 """
 
 import re
@@ -71,10 +72,16 @@ def test_round_trip_is_bit_exact(tmp_path, values, header, label, eol, data):
     path = tmp_path / "matrix.csv"
     path.write_bytes("".join(lines).encode())
 
-    loaded = load_csv(path, header=False if label and not header else None)
-    assert bits(loaded.values) == bits(values)
+    # every numeric column by auto-detection, or a selection in any order
+    select = data.draw(st.booleans())
+    order = (data.draw(st.permutations(range(d)))[:data.draw(st.integers(1, d))] if select
+             else list(range(d)))
+    loaded = load_csv(path, columns=[j + 1 for j in order] if select else None,
+                      header=False if label and not header else None)
+    assert bits(loaded.values) == bits(values[:, order])
+    assert loaded.values.flags.c_contiguous
     prefix = "c" if header else "x"
-    assert loaded.names == tuple(f"{prefix}{j + 1}" for j in range(d))
+    assert loaded.names == tuple(f"{prefix}{j + 1}" for j in order)
 
 
 @REUSED_FILE
@@ -95,3 +102,20 @@ def test_bad_cell_is_named(tmp_path, values, bad, select, data):
     message = f"non-numeric cell {bad!r} at row {i + 2}, column {j + 1}"
     with pytest.raises(DataError, match=re.escape(message) + "$"):
         load_csv(path, columns=columns)
+
+
+def test_selected_columns_are_parsed_without_python_converters(tmp_path, monkeypatch):
+    path = tmp_path / "labelled.csv"
+    path.write_text("a,b,kind\n1,2,alpha\n3,4,beta\n5,6,\"gamma, delta\"\n")
+    calls = []
+
+    def recorded(*args, _real=np.loadtxt, **kwargs):
+        calls.append(kwargs.get("converters"))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    assert load_csv(path, columns=["b", "a"]).values.tolist() == [[2, 1], [4, 3], [6, 5]]
+    assert calls == [None]
+    # auto-detection must see every label cell, through one converter
+    assert load_csv(path).values.tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert sorted(calls[1]) == [2]

@@ -20,14 +20,16 @@ def gamma_mixed(seed, n, d):
             + 0.1 * rng.standard_normal((n, d)))
 
 
-def scalar_max_skew(values, iterations, components):
+def scalar_max_skew(values, iterations, components, blocks=4):
     """numpy-only reference for max_skew, one restart at a time.
 
     Whitens with its own eigh, rebuilds the third cumulant from the projected
     rows for every component, runs each restart's power iteration alone
     (the same starts, tolerance and stopping rules) and scores it by the
     sample skewness of the projected rows; the first largest |skewness|
-    wins. Returns the whitened directions and their skewness.
+    wins. The starts are the eigenvectors of the ``blocks`` blocks of
+    largest norm (``None``: of every block), then 8 seeded random vectors.
+    Returns the whitened directions and their skewness.
     """
     centered = values - values.mean(axis=0)
     eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / len(values))
@@ -40,7 +42,7 @@ def scalar_max_skew(values, iterations, components):
         k3 = np.einsum("ni,nj,nh->ijh", rows, rows, rows) / len(rows)
         norms = [np.linalg.norm(k3[i]) for i in range(m)]
         starts = [np.linalg.eigh(k3[i])[1][:, j]
-                  for i in sorted(range(m), key=lambda i: -norms[i])
+                  for i in sorted(range(m), key=lambda i: -norms[i])[:blocks]
                   for j in range(m)]
         rng = np.random.default_rng(20240611)
         starts += [v / np.linalg.norm(v) for v in
@@ -48,10 +50,11 @@ def scalar_max_skew(values, iterations, components):
         best = None
         for c in starts:
             for _ in range(iterations):
-                step = np.einsum("ijh,i,j->h", k3, c, c)
-                if np.linalg.norm(step) == 0.0:
+                step = c @ (c @ k3)  # sum over i, j of k3[i, j, :] c_i c_j
+                norm = np.linalg.norm(step)
+                if norm == 0.0:
                     break
-                step = step / np.linalg.norm(step)
+                step = step / norm
                 converged = np.linalg.norm(step - c) < 1e-12
                 c = step
                 if converged:
@@ -214,8 +217,51 @@ def test_max_skew_matches_scalar_reference(iterations):
 
 def test_max_skew_search_diagnostics():
     basis = max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
-    assert basis.restarts == (6 * 6 + 8, 5 * 5 + 8, 4 * 4 + 8)
+    # the eigenvectors of 4 blocks, then 8 random starts, per component
+    assert basis.restarts == (4 * 6 + 8, 4 * 5 + 8, 4 * 4 + 8)
     assert all(0 <= c <= r for c, r in zip(basis.converged, basis.restarts))
+    assert all(0 <= w < r for w, r in zip(basis.winners, basis.restarts))
+
+
+def test_max_skew_winner_is_the_restart_that_attains_the_value(monkeypatch):
+    values = gamma_mixed(20240611, 300, 10)
+    basis = max_skew(values, iterations=50, components=1)
+    (winner,) = basis.winners
+
+    def winner_only(cumulant, _real=projection._restart_directions):
+        return _real(cumulant)[:, :, winner:winner + 1]
+
+    monkeypatch.setattr(projection, "_restart_directions", winner_only)
+    alone = max_skew(values, iterations=50, components=1)
+    assert abs(alone.skewness[0] - basis.skewness[0]) <= 1e-12 * basis.skewness[0]
+
+
+@pytest.mark.parametrize("law", ["gamma", "lognormal", "exponential"])
+def test_restart_budget_attains_the_full_search(law):
+    # the eigenvectors of the 4 dominant blocks reach what every block's
+    # eigenvectors reach (m^2 + 8 starts, through the scalar reference)
+    for d in (5, 8, 12, 16):
+        rng = np.random.default_rng([20240611, d])
+        sources = {"gamma": lambda: rng.gamma(2.0, size=(300, d)),
+                   "lognormal": lambda: rng.lognormal(0.0, 0.5, size=(300, d)),
+                   "exponential": lambda: rng.exponential(size=(300, d))}[law]()
+        values = sources @ rng.standard_normal((d, d)) + 0.1 * rng.standard_normal((300, d))
+        budgeted = max_skew(values, iterations=50, components=3).skewness
+        full = scalar_max_skew(values, 50, 3, blocks=None)[1]
+        assert np.abs(budgeted - full).max() <= 1e-9 * np.abs(full).max(), d
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_restarts_at_m_up_to_4_start_from_every_block(m):
+    rng = np.random.default_rng(m)
+    stack = moment_stack(rng.gamma(2.0, size=(2, 40, m)))
+    starts = projection._restart_directions(stack)
+    assert starts.shape == (2, m, m * m + projection.N_RANDOM_RESTARTS)
+    for k in range(2):
+        blocks = stack[k].reshape(m, m, m)
+        order = np.argsort(-np.linalg.norm(blocks, axis=(1, 2)), kind="stable")
+        every = np.hstack([np.linalg.eigh(blocks[i])[1] for i in order])
+        assert starts[k, :, :m * m].tobytes() == every.tobytes()
 
 
 @pytest.mark.parametrize("components", [1, 2, 3])
@@ -265,7 +311,7 @@ def test_stacked_search_is_each_slice_alone(iterations):
     cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
     sets = [cube, gamma_mixed(1, 8, 3), gamma_mixed(2, 8, 3)]
     stack = moment_stack(np.stack([standardize(x).values for x in sets]))
-    directions, values, restarts, converged = projection._search(stack, iterations)
+    directions, values, restarts, converged, winners = projection._search(stack, iterations)
     assert restarts == 3 * 3 + 8
     if iterations == 50:
         assert converged.tolist() == [17, 17, 6]
@@ -274,12 +320,13 @@ def test_stacked_search_is_each_slice_alone(iterations):
         assert directions[k].tobytes() == alone[0][0].tobytes()
         assert values[k:k + 1].tobytes() == alone[1].tobytes()
         assert converged[k] == alone[3][0]
+        assert winners[k] == alone[4][0]
 
 
 def test_search_of_an_empty_stack_is_empty():
-    directions, values, restarts, converged = projection._search(np.zeros((0, 9, 3)), 5)
+    directions, values, restarts, converged, winners = projection._search(np.zeros((0, 9, 3)), 5)
     assert directions.shape == (0, 3)
-    assert values.shape == converged.shape == (0,)
+    assert values.shape == converged.shape == winners.shape == (0,)
 
 
 def test_max_skew_search_column_work_is_pinned(monkeypatch):
@@ -292,7 +339,7 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(projection, "_pairs", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
-    assert (len(widths), sum(widths)) == (128, 3300)
+    assert (len(widths), sum(widths)) == (128, 2739)
 
 
 @pytest.mark.parametrize("m,r", [(3, 5), (8, 1), (8, 910), (8, 2000), (31, 17), (31, 969)])
