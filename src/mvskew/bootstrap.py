@@ -1,30 +1,25 @@
 """Bootstrap distribution, histogram, and p-value for a skewness measure.
 
 For each replicate, ``units`` rows are drawn from the data uniformly with
-replacement and the chosen measure is recomputed: each statistic is, to the
-bit, the ``value`` of the public measure's report on the resample, whose
-parametric p-value is never read. The bootstrap p-value uses the add-one rule
-(1 + #{replicate >= observed}) / (replicates + 1), so with R replicates it
-is always an integer multiple of 1/(R+1).
+replacement, and its statistic is, to the bit, the raw ``value`` of the
+public measure's report on the resample. The add-one bootstrap p-value
+(1 + #{replicate >= observed}) / (replicates + 1) is a multiple of
+1/(replicates + 1).
 
-Replicate statistics are stored and reported raw (untransformed); for the
-Mardia and Directional measures they are nonnegative by construction.
-
-Determinism: row sampling uses numpy's counter-based Philox generator with
-one child stream per replicate derived from (seed, replicate index), and
-unbiased bounded integers, so identical inputs give bit-identical results
-regardless of how replicates are scheduled. Replicates are drawn and
-evaluated in blocks of max(1, BLOCK_ELEMENTS // (units * d^2)) resamples.
-One stacked pass whitens a block's (block, units, d) resamples and masks
-out the singular ones; each measure is one function of the whitened stack
-(Directional runs one projection search on the stack's third moments), and
-the observed value is that function on the data's cached whitening.
-Every value is bit-identical to the measure on its resample alone, so no
-value depends on the block size or on where a block starts. The one
-exception is a Directional resample whose search stops a restart that
-another resample in its block still runs: its value may then differ in the
-last bits. A singular resample is redrawn from its own stream, as often as
-MAX_REDRAWS allows.
+Determinism: rows come from numpy's counter-based Philox generator, laid
+out as in Salmon et al., SC'11. With s = ceil(units / 4), replicate r reads
+4s doubles u from counter step r*s under the key of SeedSequence(seed,
+spawn_key=(attempt,)); its rows are floor(n*u) over the first ``units`` of
+them, relatively biased by at most n*2^-53 and never n. A singular resample
+is redrawn from the same counter steps under the next attempt's key, for up
+to MAX_REDRAWS attempts. So a block of max(1, BLOCK_ELEMENTS // (units *
+d^2)) replicates is one draw and no row depends on the block size.
+Replacing one SeedSequence stream per replicate by this layout changed
+every replicate and bootstrap p-value once, and the observed value not at
+all. A block's resamples are whitened and measured as one stack. Every
+value is bit-identical to the measure on its resample alone, except a
+Directional resample whose search stops a restart that another resample in
+its block still runs.
 """
 
 from __future__ import annotations
@@ -132,25 +127,30 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     observed = statistic(data.whitening[0][None])[0]
     values = np.empty(replicates)
     redraws = 0
+    steps = -(-int(units) // 4)  # Philox counter steps per replicate, 4 doubles each
+    bits = np.random.Philox(0)
+    origins = []  # counter-0 state on the key of (seed, attempt), derived once
     size = max(1, BLOCK_ELEMENTS // (units * data.d**2))
     for start in range(0, replicates, size):
-        streams = [
-            np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
-            for r in range(start, min(start + size, replicates))
-        ]
-        pending = np.arange(len(streams))  # block positions without a value yet
-        for _ in range(MAX_REDRAWS):
-            rows = np.stack([streams[k].integers(0, data.n, size=units) for k in pending])
+        pending = np.arange(start, min(start + size, replicates))  # no value yet
+        for attempt in range(MAX_REDRAWS):
+            if attempt == len(origins):
+                key = np.random.SeedSequence(seed, spawn_key=(attempt,))
+                origins.append(np.random.Philox(key).state)
+            first = int(pending[0])
+            bits.state = origins[attempt]
+            bits.advance(first * steps)
+            u = np.random.Generator(bits).random((int(pending[-1]) + 1 - first, 4 * steps))
+            rows = (data.n * u[pending - first, :units]).astype(np.intp)
             z, _, regular = whiten(data.values[rows])
-            values[start + pending[regular]] = statistic(z)
+            values[pending[regular]] = statistic(z)
             pending = pending[~regular]
             redraws += len(pending)
             if not len(pending):
                 break
         else:
             raise SingularityError(
-                f"replicate {start + pending[0]}: resample covariance still "
+                f"replicate {pending[0]}: resample covariance still "
                 f"singular after {MAX_REDRAWS} redraws"
             )
 

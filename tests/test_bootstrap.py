@@ -14,7 +14,7 @@ from mvskew import (
     skew_boot,
     third_moment,
 )
-from mvskew import moments
+from mvskew import bootstrap, moments
 from mvskew.bootstrap import BLOCK_ELEMENTS, DIRECTIONAL_ITERATIONS, MAX_REDRAWS, MEASURES
 from mvskew.measures import mardia_values
 
@@ -42,11 +42,14 @@ def test_pvalue_bounds(iris):
 
 def _own_value(data, seed, r, units, public):
     """The public value of replicate r's resample and its number of singular
-    draws, replayed from the replicate's own stream as skew_boot draws it."""
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,))))
+    draws, replayed from the counter layout skew_boot draws from: attempt a
+    reads replicate r's ceil(units / 4) Philox counter steps under the key of
+    (seed, a), and rows are floor(n * u)."""
+    steps = -(-units // 4)
     for redraws in range(MAX_REDRAWS):
-        rows = rng.integers(0, data.n, size=units)
+        bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(redraws,)))
+        bits.advance(r * steps)
+        rows = np.floor(data.n * np.random.Generator(bits).random(units)).astype(int)
         try:
             return public(DataMatrix(data.values[rows], data.names)).value, redraws
         except SingularityError:
@@ -103,14 +106,19 @@ def test_redrawn_replicates_inside_a_block_keep_their_own_stream(measure, public
 SIMPLEX = np.vstack([np.zeros(8), np.eye(8)])
 
 
-@pytest.mark.parametrize("measure, public, units, seed", [
+@pytest.mark.parametrize("measure, public, units, scan_from", [
     ("Mardia", mardia_skewness, 9, 5),
     ("Partial", partial_skewness, 10, 0),
     ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS), 9, 5),
 ])
 def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
-                                                         seed):
+                                                         scan_from):
     data = DataMatrix(SIMPLEX, tuple(f"x{j + 1}" for j in range(8)))
+    # the first seed from scan_from on whose replicate 0 succeeds, so that the
+    # failing replicate is not the first whatever the stream layout
+    seed = scan_from
+    while _own_value(data, seed, 0, units, public)[0] is None:
+        seed += 1
     first = 0
     while _own_value(data, seed, first, units, public)[0] is not None:
         first += 1
@@ -120,6 +128,33 @@ def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
                   seed=seed)
     assert str(excinfo.value) == (f"replicate {first}: resample covariance "
                                   f"still singular after {MAX_REDRAWS} redraws")
+
+
+@pytest.mark.parametrize("measure", ["Mardia", "Partial"])
+@pytest.mark.parametrize("dataset", ["iris", "square"])
+def test_results_do_not_depend_on_the_block_size(iris, monkeypatch, measure, dataset):
+    # blocks of 1, 7, 27 and 500 resamples draw the same rows; on SQUARE, at
+    # d + 1 (Mardia) or d + 2 (Partial) units, they also redraw the same ones
+    data = iris if dataset == "iris" else SQUARE
+    units = 150 if dataset == "iris" else data.d + (2 if measure == "Partial" else 1)
+    results = []
+    for block in (1, 7, 27, 500):
+        monkeypatch.setattr(bootstrap, "BLOCK_ELEMENTS", block * units * data.d**2)
+        results.append(skew_boot(data, replicates=60, units=units, measure=measure,
+                                 seed=9))
+    for result in results[1:]:
+        assert result.replicates.tobytes() == results[0].replicates.tobytes()
+        assert result.redraws == results[0].redraws
+    assert (results[0].redraws > 0) == (dataset == "square")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 150, 2**31 - 1, 2**52 + 1])
+def test_row_index_stays_below_n(n):
+    # random() returns at most 1 - 2^-53, so floor(n * u) never indexes row n
+    largest = np.nextafter(1.0, 0.0)
+    assert largest == 1 - 2**-53
+    assert int(np.floor(n * np.array([largest]))[0]) < n
+    assert (n * np.array([largest])).astype(np.intp)[0] < n
 
 
 def test_directional_replicates_build_no_data_matrix(iris, monkeypatch):
@@ -195,8 +230,8 @@ def test_different_seed_differs(iris):
 
 
 def test_replicate_streams_independent_of_count(iris):
-    # per-replicate streams derive from (seed, index): a longer run must
-    # reproduce the shorter run's replicates as a prefix
+    # replicate r's rows sit at fixed counter steps of the (seed, attempt)
+    # keys: a longer run must reproduce the shorter run's replicates as a prefix
     short = skew_boot(iris, replicates=5, units=20, measure="Mardia", seed=11)
     long = skew_boot(iris, replicates=9, units=20, measure="Mardia", seed=11)
     assert np.array_equal(long.replicates[:5], short.replicates)
@@ -239,6 +274,8 @@ def test_units_constraint_partial(iris):
         skew_boot(iris, replicates=5, units=True, measure="Partial", seed=0)
     skew_boot(iris, replicates=2, units=6, measure="Partial", seed=0)
     skew_boot(iris, replicates=np.int64(2), units=np.int64(6), measure="Partial",
+              seed=np.uint8(0))
+    skew_boot(iris, replicates=np.int64(2), units=np.int64(7), measure="Partial",
               seed=np.uint8(0))
 
 
@@ -287,7 +324,7 @@ def test_replicates_nonnegative(iris):
 
 def test_singular_resamples_are_redrawn():
     # univariate data with few distinct values: many resamples are constant
-    # and must be silently redrawn from the same replicate stream
+    # and must be silently redrawn from the replicate's counter steps
     data = np.array([[0.0], [0.0], [0.0], [1.0]])
     result = skew_boot(data, replicates=20, units=2, measure="Mardia", seed=1)
     assert len(result.replicates) == 20
