@@ -15,11 +15,19 @@ as a stack of one on first use and caches the result
 reads that cache.
 Argument checks that callers can get wrong (counts, dimensions,
 measure names) raise :class:`PreconditionError`.
+
+:func:`format_matrix` writes every value exactly as C's ``"%.{p}g"`` does.
+At p <= 15 a numpy kernel writes the finite nonzero values that print in
+fixed notation (decimal exponent -4 to p - 1), the bulk of any data; every
+other value -- exponent form, 0, -0, nan, +-inf, and every value at p = 16
+or 17, whose digit integer passes 2^53 -- goes through one ``%`` call over
+its cells, as does a matrix too small to repay the kernel's set-up.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,8 +48,13 @@ __all__ = [
     "standardize",
 ]
 
-# rows formatted per slice by format_matrix
-FORMAT_ROWS = 4096
+# cells formatted per slice by format_matrix, which bounds its temporaries
+FORMAT_CELLS = 1 << 15
+
+# a slice of fewer cells is formatted by % alone: below this size the
+# kernel's first use in a process (its table and numpy's dispatch, about
+# 3 ms) costs more than it saves
+KERNEL_CELLS = 1 << 13
 
 # relative eigenvalue floor below which a symmetric matrix counts as singular
 EIG_RTOL = 1e-10
@@ -199,24 +212,6 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _label_converter():
-    """Converter that reads a label column as zeros.
-
-    It raises on a number, because a column holding one is numeric; each
-    distinct label is tested once.
-    """
-    labels = set()
-
-    def convert(cell: str) -> float:
-        if cell not in labels:
-            if _is_number(cell):
-                raise ValueError(f"number {cell!r} in a label column")
-            labels.add(cell)
-        return 0.0
-
-    return convert
-
-
 def _raise_fault(path: Path, header: bool, keep: list[int] | None) -> None:
     """Raise a DataError naming the first ragged row or bad cell in the file.
 
@@ -315,22 +310,26 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
 
         if columns is None:
             keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
-            # the label converter must see every cell, to raise on a number
-            label = _label_converter()
-            unread, converters = "f8", {j: label for j in range(width) if j not in keep}
+            # a label column is read as Python strings, in C, and each
+            # distinct label is tested once for a number
+            unread = "O"
         else:
             keep = _resolve_columns(list(columns), names)
             if not keep:
                 raise PreconditionError("empty column selection")
             # an unselected column is read as its first character, in C
-            unread, converters = "U1", None
+            unread = "U1"
         # every cell is a field of the row's record, so numpy checks each
         # row's cell count
         record = np.dtype([(f"f{j}", "f8" if j in keep else unread) for j in range(width)])
         try:
             table = np.loadtxt(
                 path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
-                encoding="utf-8-sig", ndmin=1, dtype=record, converters=converters)
+                encoding="utf-8-sig", ndmin=1, dtype=record)
+            if columns is None:
+                labels = (set(table[f"f{j}"]) for j in range(width) if j not in keep)
+                if any(_is_number(label) for column in labels for label in column):
+                    raise ValueError("a number in a label column")
             values = np.empty((len(table), len(keep)))
             for i, j in enumerate(keep):
                 values[:, i] = table[f"f{j}"]
@@ -355,16 +354,169 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
         raise
 
 
+@functools.cache
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0000..9999 as uint32 words, then the same words
+    with their trailing zeros as NUL bytes; and the exact doubles 10^0..10^22."""
+    i = np.arange(10000, dtype=np.uint16)[:, None]
+    ascii = (i // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8) + 48
+    # a digit is a trailing zero when i is a multiple of its place times 10
+    trailing = i % np.array([10000, 1000, 100, 10], np.uint16) == 0
+    words = np.concatenate([ascii, np.where(trailing, 0, ascii)]).view(np.uint32).ravel()
+    powers = np.array([float(10 ** k) for k in range(23)])
+    words.setflags(write=False)
+    powers.setflags(write=False)
+    return words, powers
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """a * b - product, exactly, where product = fl(a * b): Dekker's two-product."""
+    def split(v):  # 2^27 + 1 splits a double into two halves of 26 bits
+        scaled = 134217729.0 * v
+        high = scaled - (scaled - v)
+        return high, v - high
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return ((ah * bh - product) + ah * bl + al * bh) + al * bl
+
+
+def _fixed_digits(x: np.ndarray, precision: int):
+    """Which cells ``"%.{precision}g"`` prints in fixed notation, precision <= 15.
+
+    Returns that mask, and for its cells the decimal exponent X of the value
+    rounded to ``precision`` digits (-4 <= X < precision) and the digit
+    integer n, 10^(p-1) <= n < 10^p: |x| * 10^(p-1-X) rounded to an integer
+    as dtoa rounds, ties to even. 10^(p-1-X) is an exact double and n < 2^53,
+    so n is the rint of the scaled double hi unless hi ends in exactly .5;
+    there the exact error of the product decides. A cell whose exponent the
+    one correction of floor(log10|x|) does not settle is left out of the mask.
+    """
+    _, powers = _digit_table()
+    low, high = powers[precision - 1], powers[precision]
+    a = np.abs(x)
+    # below 9e-5 no value rounds up to 1e-4; nan, inf and 0 fall outside too
+    candidate = (a >= 9e-5) & (a < high)
+    a[~candidate] = 1.0
+    exponent = np.floor(np.log10(a)).astype(np.intp)
+    scale = powers[precision - 1 - exponent]
+    hi = a * scale
+    # hi == high rounds to 10^p at this exponent and to 10^(p-1) at the next:
+    # either way the cell prints as 1 at the next exponent
+    shift = (hi >= high).view(np.int8) - (hi < low).view(np.int8)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        exponent[moved] += shift[moved]
+        scale[moved] = powers[np.clip(precision - 1 - exponent[moved], 0, 22)]
+        hi[moved] = a[moved] * scale[moved]
+    n = np.rint(hi)
+    tie = np.flatnonzero(np.abs(hi - n) == 0.5)
+    if tie.size:
+        error = _product_error(a[tie], scale[tie], hi[tie])
+        n[tie] = np.where(error == 0, n[tie], hi[tie] + np.copysign(0.5, error))
+    carry = n == high
+    n[carry] = low
+    exponent += carry
+    fixed = (candidate & (hi >= low) & (hi <= high)
+             & (exponent >= -4) & (exponent < precision))
+    return fixed, exponent, n
+
+
+def _fixed_cells(x: np.ndarray, precision: int, width: int):
+    """Byte rows of the fixed-notation cells of x, NUL-padded to ``width``.
+
+    Returns the mask of those cells, their indices and their rows. The
+    digits come from one gather per 4-digit group; the cells are sorted by
+    exponent, so each exponent class is laid out with slices.
+    """
+    words, _ = _digit_table()
+    p = precision
+    fixed, exponent, n = _fixed_digits(x, p)
+    cells = np.flatnonzero(fixed)
+    exponent = exponent[cells].astype(np.int8)
+    order = np.argsort(exponent, kind="stable")
+    cells, exponent = cells[order], exponent[order]
+    n = n[cells]
+    groups = (p + 3) // 4
+    ascii = np.empty((cells.size, groups), np.uint32)
+    # a group reads its word with NUL trailing zeros, at 10000 + its value,
+    # while every later group is 0
+    offset = np.full(cells.size, 10000, np.intp)
+    for g in reversed(range(groups)):
+        quotient = np.floor(n / 10000.0)  # exact: n < 10^15
+        remainder = (n - 10000.0 * quotient).astype(np.intp)
+        ascii[:, g] = words[remainder + offset]
+        offset[remainder != 0] = 0
+        n = quotient
+    digits = ascii.view(np.uint8)[:, 4 * groups - p:]
+    rows = np.zeros((cells.size, width), np.uint8)
+    rows[:, 0] = np.where(x[cells] < 0, 45, 0)  # "-"
+    bounds = np.searchsorted(exponent, np.arange(-4, p + 1))
+    for e, start, stop in zip(range(-4, p), bounds[:-1], bounds[1:]):
+        if start == stop:
+            continue
+        row, digit = rows[start:stop], digits[start:stop]
+        if e < 0:  # "0.", -1-e zeros, the digits
+            row[:, 1:3 - e] = 48
+            row[:, 2] = 46
+            row[:, 2 - e:2 - e + p] = digit
+        else:  # e + 1 integer digits, zeros kept; ".", the fraction, if any
+            row[:, 1:e + 2] = digit[:, :e + 1] | 48
+            if e + 1 < p:
+                row[:, e + 2] = np.where(digit[:, e + 1] != 0, 46, 0)
+                row[:, e + 3:p + 2] = digit[:, e + 1:]
+    return fixed, cells, rows
+
+
+def _format_rows(part: np.ndarray, precision: int) -> str:
+    """CSV text of the rows of a 2-d slice: exactly ``"%.{precision}g" % x``."""
+    x = np.ascontiguousarray(part, dtype=float).ravel()
+    # a cell is a row of width + 1 bytes, its text NUL-padded, then "," or
+    # "\n"; no %g text of a double is longer than precision + 7
+    width = precision + 7
+    fixed = np.zeros(x.size, bool)
+    if 1 <= precision <= 15 and x.size >= KERNEL_CELLS:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fixed, cells, rows = _fixed_cells(x, precision, width + 1)
+    if not fixed.any():
+        row = ",".join([f"%.{precision}g"] * part.shape[1]) + "\n"
+        return (row * len(part)) % tuple(x.tolist())
+    text = np.zeros((x.size, width + 1), np.uint8)
+    record = f"V{width + 1}"
+    text.view(record)[cells, 0] = rows.view(record)[:, 0]
+    rest = np.flatnonzero(~fixed)
+    if rest.size:
+        padded = (f"%-{width}.{precision}g\0" * rest.size) % tuple(x[rest].tolist())
+        padded = np.frombuffer(padded.encode("ascii"), np.uint8).copy()
+        padded[padded == 32] = 0  # %g text holds no space
+        text.view(record)[rest, 0] = padded.view(record)
+    text[:, width] = 44  # ","
+    text[part.shape[1] - 1::part.shape[1], width] = 10  # "\n"
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def format_matrix(matrix, precision: int) -> str:
     """CSV text of a matrix: one line per row, each value ``"%.{precision}g" % x``.
 
-    A 1-d input is one row. One row format is applied to FORMAT_ROWS rows at
-    a time, so no tuple of all the values is built.
+    A 1-d input is one row. The bytes are exactly those of C's
+    ``"%.{precision}g"``, whatever the matrix size and whichever route a cell
+    takes. At precision 1..15 a numpy kernel writes every finite nonzero
+    cell that prints in fixed notation: there 10^(p-1-X) is an exact double
+    and the digit integer stays below 2^53, so one product, its exact
+    rounding error and rint give dtoa's digits. At 16 or 17 digits the
+    integer passes 2^53, so those precisions, exponent form, 0, -0, nan and
+    +-inf go through one ``%`` call over their cells, as does a slice of
+    fewer than KERNEL_CELLS cells. The matrix is formatted FORMAT_CELLS
+    cells at a time, which bounds the temporaries.
     """
     matrix = np.atleast_2d(matrix)
-    row = ",".join([f"%.{precision}g"] * matrix.shape[1]) + "\n"
-    parts = (matrix[start:start + FORMAT_ROWS] for start in range(0, len(matrix), FORMAT_ROWS))
-    return "".join((row * len(part)) % tuple(part.ravel().tolist()) for part in parts)
+    if matrix.ndim != 2:
+        raise DataError(f"expected a 1-d or 2-d array, got ndim={matrix.ndim}")
+    rows = max(1, FORMAT_CELLS // max(matrix.shape[1], 1))
+    text = ""
+    for start in range(0, len(matrix), rows):
+        # appending in place keeps the peak at the result plus one slice
+        text += _format_rows(matrix[start:start + rows], precision)
+    return text
 
 
 def covariance(data) -> np.ndarray:

@@ -40,6 +40,17 @@ def test_demo_runs(demo, tmp_path):
     assert result.stdout
 
 
+def test_import_builds_no_format_table():
+    # format_matrix builds its digit table on first use, so import stays cheap
+    code = "import mvskew; print(mvskew.data._digit_table.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
 def test_no_module_imports_a_private_name_from_another():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
