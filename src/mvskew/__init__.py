@@ -25,7 +25,6 @@ from .measures import (
     directional_skewness,
     fisher_skew,
     mardia_skewness,
-    mori_vector,
     partial_skewness,
 )
 from .moments import (
@@ -63,7 +62,6 @@ __all__ = [
     "mardia_skewness",
     "max_skew",
     "min_skew",
-    "mori_vector",
     "partial_skewness",
     "residual_skewness",
     "save_third_moment",

@@ -14,9 +14,7 @@ them, relatively biased by at most n*2^-53 and never n. A singular resample
 is redrawn from the same counter steps under the next attempt's key, for up
 to MAX_REDRAWS attempts. So a block of max(1, BLOCK_ELEMENTS // (units *
 d^2)) replicates is one draw and no row depends on the block size.
-Replacing one SeedSequence stream per replicate by this layout changed
-every replicate and bootstrap p-value once, and the observed value not at
-all. A block's resamples are whitened and measured as one stack. Every
+A block's resamples are whitened and measured as one stack. Every
 value is bit-identical to the measure on its resample alone, except a
 Directional resample whose search stops a restart that another resample in
 its block still runs.
@@ -31,7 +29,7 @@ import numpy as np
 from .data import (PreconditionError, SingularityError, as_data_matrix, require_integers,
                    whiten)
 from .measures import mardia_values, partial_values
-from .projection import directional_values
+from .projection import directional_values, require_directional
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
 
@@ -103,10 +101,8 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         raise PreconditionError(
             f"measure must be one of {MEASURES}, got {measure!r}"
         ) from None
-    if measure == "Directional" and data.d < 2:
-        raise PreconditionError(
-            f"the Directional measure needs at least 2 variables, got {data.d}"
-        )
+    if measure == "Directional":
+        require_directional(data.d)
     require_integers(units=units, replicates=replicates)
     minimum = data.d + 1 if measure == "Partial" else data.d
     if units <= minimum:

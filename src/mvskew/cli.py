@@ -38,7 +38,7 @@ def _parse_selection(spec: str):
         token = token.strip()
         if not token:
             continue
-        if "-" in token and not token.lstrip("-").isalpha():
+        if "-" in token:
             lo, _, hi = token.partition("-")
             if lo.strip().isdigit() and hi.strip().isdigit():
                 lo_i, hi_i = int(lo), int(hi)

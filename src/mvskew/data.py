@@ -18,10 +18,10 @@ measure names) raise :class:`PreconditionError`.
 
 :func:`format_matrix` writes every value exactly as C's ``"%.{p}g"`` does.
 At p <= 15 a numpy kernel writes the finite nonzero values that print in
-fixed notation (decimal exponent -4 to p - 1), the bulk of any data; every
-other value -- exponent form, 0, -0, nan, +-inf, and every value at p = 16
-or 17, whose digit integer passes 2^53 -- goes through one ``%`` call over
-its cells, as does a matrix too small to repay the kernel's set-up.
+fixed notation (decimal exponent -4 to p - 1), the bulk of any data. Every
+other cell -- exponent form, 0, -0, nan, +-inf, every value at p = 16 or
+17, whose digit integer passes 2^53, and every cell of a slice too small to
+repay the kernel's set-up -- takes the one ``%`` route: one call over them.
 """
 
 from __future__ import annotations
@@ -171,18 +171,13 @@ def _gram(centered: np.ndarray) -> np.ndarray:
 def _spectrum(matrices: np.ndarray):
     """Symmetric part, eigenpairs and singularity of each matrix of (..., d, d).
 
-    Raises DataError when a matrix is not symmetric to 1e-12 relative, and
-    returns its exactly symmetric part, the ascending eigenvalues, the
-    eigenvectors and the package's one singularity test: the smallest
+    Returns each matrix's exactly symmetric part, the ascending eigenvalues,
+    the eigenvectors and the package's one singularity test: the smallest
     eigenvalue is at most EIG_RTOL times the largest (or times the smallest
-    positive float, when the largest is not positive).
+    positive float, when the largest is not positive). Symmetry is checked
+    by :func:`inv_sqrt`, the one caller given a matrix from outside.
     """
-    transposed = np.swapaxes(matrices, -1, -2)
-    scale = np.abs(matrices).max(axis=(-2, -1))
-    if np.any((scale > 0)
-              & (np.abs(matrices - transposed).max(axis=(-2, -1)) > 1e-12 * scale)):
-        raise DataError("matrix is not symmetric to within 1e-12 relative")
-    matrices = (matrices + transposed) / 2.0
+    matrices = (matrices + np.swapaxes(matrices, -1, -2)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(matrices)
     singular = eigvals[..., 0] <= EIG_RTOL * np.maximum(eigvals[..., -1],
                                                         np.finfo(float).tiny)
@@ -244,7 +239,8 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
     """Map labels / 1-based indices to 0-based positions."""
     out = []
     for col in columns:
-        if isinstance(col, (int, np.integer)):
+        if not isinstance(col, str):
+            require_integers(column=col)
             if not 1 <= col <= len(names):
                 raise PreconditionError(
                     f"column index {col} out of range 1..{len(names)}"
@@ -276,7 +272,8 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
         decimal mark, cells optionally double-quoted; blank lines skipped.
     columns : sequence of str or int, optional
         Columns to keep, by label or by *1-based* position (matching the
-        command-line ``--columns 1-4`` syntax). Default: the numeric columns.
+        command-line ``--columns 1-4`` syntax); a position must be an int or
+        a numpy integer, not a bool. Default: the numeric columns.
     header : bool, optional
         Whether the first row is a header. Default auto-detects: the first
         row is treated as a header when any of its cells is not a number.
@@ -470,20 +467,19 @@ def _fixed_cells(x: np.ndarray, precision: int, width: int):
 def _format_rows(part: np.ndarray, precision: int) -> str:
     """CSV text of the rows of a 2-d slice: exactly ``"%.{precision}g" % x``."""
     x = np.ascontiguousarray(part, dtype=float).ravel()
+    if not x.size:  # no cells: one empty line per row
+        return "\n" * len(part)
     # a cell is a row of width + 1 bytes, its text NUL-padded, then "," or
     # "\n"; no %g text of a double is longer than precision + 7
     width = precision + 7
-    fixed = np.zeros(x.size, bool)
+    text = np.zeros((x.size, width + 1), np.uint8)
+    record = f"V{width + 1}"
+    rest = np.arange(x.size)  # the cells the kernel does not write
     if 1 <= precision <= 15 and x.size >= KERNEL_CELLS:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fixed, cells, rows = _fixed_cells(x, precision, width + 1)
-    if not fixed.any():
-        row = ",".join([f"%.{precision}g"] * part.shape[1]) + "\n"
-        return (row * len(part)) % tuple(x.tolist())
-    text = np.zeros((x.size, width + 1), np.uint8)
-    record = f"V{width + 1}"
-    text.view(record)[cells, 0] = rows.view(record)[:, 0]
-    rest = np.flatnonzero(~fixed)
+        text.view(record)[cells, 0] = rows.view(record)[:, 0]
+        rest = np.flatnonzero(~fixed)
     if rest.size:
         padded = (f"%-{width}.{precision}g\0" * rest.size) % tuple(x[rest].tolist())
         padded = np.frombuffer(padded.encode("ascii"), np.uint8).copy()
@@ -504,9 +500,9 @@ def format_matrix(matrix, precision: int) -> str:
     and the digit integer stays below 2^53, so one product, its exact
     rounding error and rint give dtoa's digits. At 16 or 17 digits the
     integer passes 2^53, so those precisions, exponent form, 0, -0, nan and
-    +-inf go through one ``%`` call over their cells, as does a slice of
-    fewer than KERNEL_CELLS cells. The matrix is formatted FORMAT_CELLS
-    cells at a time, which bounds the temporaries.
+    +-inf take the one ``%`` route, a single call over their cells, as does
+    every cell of a slice of fewer than KERNEL_CELLS cells. The matrix is
+    formatted FORMAT_CELLS cells at a time, which bounds the temporaries.
     """
     matrix = np.atleast_2d(matrix)
     if matrix.ndim != 2:
@@ -541,14 +537,16 @@ def covariance(data) -> np.ndarray:
 def inv_sqrt(matrix) -> np.ndarray:
     """Inverse of the symmetric positive definite square root of a matrix.
 
-    The matrix must be square and symmetric to 1e-12 relative (DataError)
-    and pass the singularity test of :func:`whiten` (SingularityError). The
-    result R is symmetric, positive definite, and satisfies R @ S @ R = I
-    to 1e-10.
+    The matrix must be square and symmetric to 1e-12 relative (DataError,
+    the package's one symmetry check of a covariance) and pass the
+    singularity test of :func:`whiten` (SingularityError). The result R is
+    symmetric, positive definite, and satisfies R @ S @ R = I to 1e-10.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DataError(f"expected a square matrix, got shape {matrix.shape}")
+    if np.abs(matrix - matrix.T).max() > 1e-12 * np.abs(matrix).max():
+        raise DataError("matrix is not symmetric to within 1e-12 relative")
     _, eigvals, eigvecs, singular = _spectrum(matrix)
     if singular:
         raise SingularityError(

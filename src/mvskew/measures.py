@@ -18,13 +18,12 @@ import numpy as np
 
 from .data import SingularityError, as_data_matrix
 from .moments import third_entries, triple_layout
-from .projection import max_skew
+from .projection import max_skew, require_directional
 
 __all__ = [
     "SkewnessReport",
     "fisher_skew",
     "mardia_skewness",
-    "mori_vector",
     "partial_skewness",
     "directional_skewness",
     "chi2_sf",
@@ -139,11 +138,6 @@ def _partial(vector: np.ndarray) -> float:
     return float(vector @ vector)
 
 
-def mori_vector(data) -> np.ndarray:
-    """Mori-Rohatgi-Szekely skewness vector: mean of (z'z) z over rows."""
-    return _mori(as_data_matrix(data).whitening[0])
-
-
 def partial_skewness(data) -> SkewnessReport:
     """Partial skewness: squared norm of the Mori-Rohatgi-Szekely vector.
 
@@ -151,7 +145,7 @@ def partial_skewness(data) -> SkewnessReport:
     chi-square upper-tail p-value (computed on first read).
     """
     data = as_data_matrix(data)
-    vector = mori_vector(data)
+    vector = _mori(data.whitening[0])
     value = _partial(vector)
     return SkewnessReport(
         measure="partial",
@@ -174,6 +168,8 @@ def directional_skewness(data, iterations: int = 50) -> SkewnessReport:
     Delegates the search to :func:`mvskew.projection.max_skew` and squares
     the attained skewness of the best direction. No parametric p-value.
     """
+    data = as_data_matrix(data)
+    require_directional(data.d)
     basis = max_skew(data, iterations=iterations, components=1)
     return SkewnessReport(
         measure="directional",

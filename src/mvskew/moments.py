@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, as_data_matrix, format_matrix
+from .data import DataError, as_data_matrix, format_matrix, require_integers
 
 __all__ = [
     "KINDS",
@@ -46,17 +46,6 @@ KINDS = ("raw", "central", "standardized")
 SYMMETRY_RTOL = 1e-8
 
 
-@functools.cache
-def _sorted_slots(d: int) -> np.ndarray:
-    """For each slot (i, j, h) of a flat (d, d, d) tensor, the flat slot of its
-    sorted index triple (lo, mid, hi)."""
-    i, j, h = np.indices((d, d, d))
-    lo, hi = np.minimum(np.minimum(i, j), h), np.maximum(np.maximum(i, j), h)
-    slots = np.ravel_multi_index((lo, i + j + h - lo - hi, hi), (d, d, d)).ravel()
-    slots.setflags(write=False)
-    return slots
-
-
 def _canonical(values: np.ndarray) -> np.ndarray:
     """Map every entry of a (d^2, d) matrix to the value at its sorted index
     triple, after checking it is finite and index-symmetric to within
@@ -65,7 +54,8 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
-    canon = values.ravel()[_sorted_slots(values.shape[1])].reshape(values.shape)
+    _, _, fill, slots = triple_layout(values.shape[1])
+    canon = values.ravel()[slots][fill].reshape(values.shape)
     if np.abs(canon - values).max() > SYMMETRY_RTOL * max(np.abs(values).max(), 1.0):
         raise DataError("matrix violates third-moment index symmetry")
     return canon
@@ -84,24 +74,20 @@ def pair_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def triple_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def triple_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The d(d+1)(d+2)/6 sorted index triples (i, j, h), i <= j <= h, in
     lexicographic order: for each, its position in the flat (d(d+1)/2, d)
     array of pair sums (row (i, j), column h) and its multiplicity 1, 3 or 6
     among the d^3 slots; then, for each slot of a flat (d, d, d) tensor, the
-    position of its sorted triple."""
-    slot = pair_layout(d)[2]
-    i, j, h = np.indices((d, d, d)).reshape(3, -1)
-    distinct = (i <= j) & (j <= h)
-    i, j, h = i[distinct], j[distinct], h[distinct]
-    position = slot[i * d + j] * d + h
+    position of its sorted triple; and for each sorted triple, its slot."""
+    indices = np.sort(np.indices((d, d, d)).reshape(3, -1), axis=0)
+    slots, fill = np.unique(np.ravel_multi_index(indices, (d, d, d)), return_inverse=True)
+    i, j, h = np.unravel_index(slots, (d, d, d))
+    position = pair_layout(d)[2][i * d + j] * d + h
     weight = np.where(i == h, 1.0, np.where((i == j) | (j == h), 3.0, 6.0))
-    rank = np.full(d**3, -1, dtype=np.intp)
-    rank[distinct] = np.arange(i.size)
-    fill = rank[_sorted_slots(d)]
-    for array in (position, weight, fill):
+    for array in (position, weight, fill, slots):
         array.setflags(write=False)
-    return position, weight, fill
+    return position, weight, fill, slots
 
 
 def third_entries(rows: np.ndarray) -> np.ndarray:
@@ -263,7 +249,8 @@ def transform_third(m3: ThirdMomentMatrix, a) -> ThirdMomentMatrix:
 
 
 def block(m3: ThirdMomentMatrix, i: int) -> np.ndarray:
-    """Block B_i = E(X_i x x'), rows (i-1)d+1 .. i*d, for 1-based i."""
+    """Block B_i = E(X_i x x'), rows (i-1)d+1 .. i*d, for 1-based integer i."""
+    require_integers(i=i)
     d = m3.d
     if not 1 <= i <= d:
         raise IndexError(f"block index {i} out of range 1..{d}")

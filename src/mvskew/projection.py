@@ -169,6 +169,13 @@ def _search(cumulant: np.ndarray,
             (~running).sum(axis=1), best)
 
 
+def require_directional(d: int) -> None:
+    """Raise PreconditionError unless there are the 2 variables the
+    Directional measure needs to search a direction in."""
+    if d < 2:
+        raise PreconditionError(f"the Directional measure needs at least 2 variables, got {d}")
+
+
 def directional_values(z: np.ndarray, iterations: int) -> np.ndarray:
     """Directional skewness of each whitened row set in a stack (b, n, d):
     ``directional_skewness(x, iterations).value`` for the whitened rows of x,

@@ -305,6 +305,13 @@ def test_directional_needs_two_variables(iris):
         skew_boot(one_column, replicates=2, units=5, measure="Directional", seed=0)
 
 
+def test_directional_measure_needs_two_variables(iris):
+    # the same precondition as the bootstrap's, not max_skew's components
+    with pytest.raises(PreconditionError,
+                       match="^the Directional measure needs at least 2 variables, got 1$"):
+        directional_skewness(iris.values[:, :1])
+
+
 def test_measure_case_insensitive(iris):
     result = skew_boot(iris, replicates=2, units=11, measure="mardia", seed=0)
     assert result.measure == "Mardia"

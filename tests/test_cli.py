@@ -10,6 +10,7 @@ import pytest
 import mvskew
 from mvskew import load_csv, load_third_moment, max_skew
 from mvskew.cli import main
+from mvskew.data import format_matrix
 
 
 def run_cli(args, tmp_path, monkeypatch=None):
@@ -401,8 +402,22 @@ def test_columns_by_name(tmp_path, iris_path):
     assert keys == ["measure", "value.sepal_length", "value.petal_width"]
 
 
+def test_hyphenated_tokens_are_labels(tmp_path):
+    # a token is a range only when both halves are digits
+    path = tmp_path / "hyphens.csv"
+    rows = np.random.default_rng(5).gamma(2.0, size=(20, 4))
+    path.write_text("-abc,a-b,--,-5\n" + format_matrix(rows, 6))
+    code = main(["skew", str(path), "--measure", "fisher", "--columns=-5,--,a-b,-abc",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    keys = [line.split(",")[0] for line in
+            (tmp_path / "out" / "skew_fisher.csv").read_text().splitlines()]
+    assert keys == ["measure", "value.-5", "value.--", "value.a-b", "value.-abc"]
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--columns", "0", "column index 0 out of range 1..5"),
+    ("--columns", "a-b", "no column named 'a-b'"),
     ("--columns", "6", "column index 6 out of range 1..5"),
     ("--columns", "sepal", "no column named 'sepal'"),
     ("--columns", "3-1", "bad range '3-1' in selection"),

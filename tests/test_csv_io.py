@@ -58,6 +58,7 @@ def test_format_matrix_matches_per_cell_format(precision):
     assert format_matrix(values, precision) == per_cell(values, precision)
     assert format_matrix(values[0], precision) == per_cell(values[0], precision)
     assert format_matrix(values[:, :1], precision) == per_cell(values[:, :1], precision)
+    assert format_matrix(values[:, :0], precision) == per_cell(values[:, :0], precision)
 
 
 @pytest.mark.parametrize("cells", [8, 2 ** 14])

@@ -97,7 +97,11 @@ def test_load_bad_index(iris_path):
 def test_load_selection_errors_are_preconditions(iris_path):
     for columns, message in (([0], "column index 0 out of range 1..5"),
                              (["nope"], "no column named 'nope'"),
-                             ([], "empty column selection")):
+                             ([], "empty column selection"),
+                             ([True, 2], "column must be an integer, got True"),
+                             ([1, np.False_], "column must be an integer, got np.False_"),
+                             ([1.5], "column must be an integer, got 1.5"),
+                             ([2.0], "column must be an integer, got 2.0")):
         with pytest.raises(PreconditionError, match=rf"^{message}$"):
             load_csv(iris_path, columns=columns)
 

@@ -15,7 +15,6 @@ from mvskew import (
     directional_skewness,
     fisher_skew,
     mardia_skewness,
-    mori_vector,
     partial_skewness,
     skew_boot,
     standardize,
@@ -117,12 +116,12 @@ def test_mardia_frobenius_identity(iris):
 
 
 # ---------------------------------------------------------------------------
-# mori_vector / partial_skewness
+# partial_skewness and its Mori-Rohatgi-Szekely vector
 # ---------------------------------------------------------------------------
 
 def test_mori_iris(iris):
     # reference: R MultiSkew::PartialSkew(iris.m[,1:4]) Vector
-    assert_allclose(mori_vector(iris), [0.5301, 0.4355, 0.4105, 0.4131],
+    assert_allclose(partial_skewness(iris).vector, [0.5301, 0.4355, 0.4105, 0.4131],
                     atol=5e-4)
 
 
@@ -130,16 +129,16 @@ def test_mori_equals_cumulant_contraction(iris):
     # second path: K3z' vec(I) through the public moments API
     k3z = third_moment(iris, "standardized").values
     expected = k3z.T @ np.eye(4).reshape(-1, order="F")
-    assert np.abs(mori_vector(iris) - expected).max() < 1e-10
+    assert np.abs(partial_skewness(iris).vector - expected).max() < 1e-10
 
 
 def test_mori_pooled_reflection_zero(iris):
-    assert np.abs(mori_vector(pooled_with_reflection(iris.values))).max() < 1e-12
+    assert np.abs(partial_skewness(pooled_with_reflection(iris.values)).vector).max() < 1e-12
 
 
 def test_mori_univariate_is_fisher(iris):
     col = iris.values[:, [3]]
-    assert_allclose(mori_vector(col), fisher_skew(col), atol=1e-12)
+    assert_allclose(partial_skewness(col).vector, fisher_skew(col), atol=1e-12)
 
 
 def test_partial_iris(iris):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mvskew import (
     DataError,
     DataMatrix,
+    PreconditionError,
     ThirdMomentMatrix,
     block,
     cumulant_from_moments,
@@ -162,11 +163,13 @@ def test_mardia_from_distinct_entries_matches_the_full_sum(stack, d, blocks):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
 def test_triple_weights_count_the_slots(d):
-    position, weight, fill = triple_layout(d)
-    assert position.size == weight.size == d * (d + 1) * (d + 2) // 6
+    position, weight, fill, slots = triple_layout(d)
+    assert position.size == weight.size == slots.size == d * (d + 1) * (d + 2) // 6
     assert weight.sum() == d**3
     # each distinct triple's weight is how many slots the fill maps to it
     assert np.array_equal(np.bincount(fill, minlength=weight.size), weight)
+    # and the fill maps each distinct triple's own slot to it
+    assert np.array_equal(fill[slots], np.arange(slots.size))
 
 
 @pytest.mark.parametrize("d", [3, 8, 32])
@@ -227,6 +230,11 @@ def test_block_out_of_range(iris):
         block(m3, 0)
     with pytest.raises(IndexError):
         block(m3, 5)
+    # an index is an int or a numpy integer, never a bool
+    assert np.array_equal(block(m3, np.int64(2)), block(m3, 2))
+    for index in (True, np.True_, 1.5, 2.0, "2", None):
+        with pytest.raises(PreconditionError, match="^i must be an integer, got "):
+            block(m3, index)
 
 
 # ---------------------------------------------------------------------------

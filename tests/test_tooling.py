@@ -1,6 +1,7 @@
-"""Repository-level checks: the demos run, modules share no private names,
-the public surface is the pinned list below, every function the benchmark
-traces exists, and the benchmark's small job scripts pass its oracle."""
+"""Repository-level checks: the demos run, cached layouts are read-only,
+modules share no private names, the public surface is the pinned list below,
+every function the benchmark traces exists, and the benchmark's small job
+scripts pass its oracle."""
 
 import ast
 import importlib
@@ -51,6 +52,15 @@ def test_import_builds_no_format_table():
     assert result.stdout == "0\n"
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cached_layouts_are_read_only(d):
+    # every caller gets the same cached arrays, so none may write to them
+    arrays = (*mvskew.moments.pair_layout(d), *mvskew.moments.triple_layout(d),
+              *mvskew.data._digit_table())
+    assert len(arrays) == 9
+    assert [array.flags.writeable for array in arrays] == [False] * 9
+
+
 def test_no_module_imports_a_private_name_from_another():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
@@ -69,8 +79,8 @@ PUBLIC = [
     "ThirdMomentMatrix", "block", "chi2_sf", "covariance",
     "cumulant_from_moments", "directional_skewness", "fisher_skew", "inv_sqrt",
     "load_csv", "load_third_moment", "mardia_skewness", "max_skew", "min_skew",
-    "mori_vector", "partial_skewness", "residual_skewness", "save_third_moment",
-    "skew_boot", "standardize", "third_moment", "transform_third",
+    "partial_skewness", "residual_skewness", "save_third_moment", "skew_boot",
+    "standardize", "third_moment", "transform_third",
 ]
 
 
