@@ -7,6 +7,11 @@ This module owns the two conventions everything else inherits:
   :mod:`mvskew.measures` are calibrated against;
 * matrix square roots are symmetric (spectral), never Cholesky.
 
+:func:`load_csv` parses each file of at least CACHE_BYTES once: it keeps
+the parsed values under ``$XDG_CACHE_HOME/mvskew``, keyed by the sha256 of
+the file's bytes, the header and column request and the loader itself, and
+reads them back while all three are unchanged.
+
 Whitening -- the covariance, its inverse symmetric root and the whitened
 rows -- has one kernel, :func:`whiten`, which whitens a stack of row sets
 such as the bootstrap's resamples. A :class:`DataMatrix` whitens its rows
@@ -26,9 +31,12 @@ repay the kernel's set-up -- takes the one ``%`` route: one call over them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -59,6 +67,15 @@ KERNEL_CELLS = 1 << 13
 # relative eigenvalue floor below which a symmetric matrix counts as singular
 EIG_RTOL = 1e-10
 
+# load_csv parses a file of fewer bytes every time. In a fresh process a
+# cache hit (hashlib's import, the hash and the read) first beats a parse
+# at 0.4-0.5 MB of an 8-column file (2-vCPU Xeon VM, Python 3.11, numpy
+# 2.4); this is the nearest power of two.
+CACHE_BYTES = 1 << 19
+
+# cache entries kept at most; a store evicts those with the oldest mtimes
+CACHE_ENTRIES = 8
+
 
 class DataError(ValueError):
     """Input data failed validation (shape, finiteness, labels, parsing)."""
@@ -79,6 +96,13 @@ def require_integers(**counts) -> None:
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise DataError naming the first non-finite entry of a 2-d array."""
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +126,7 @@ class DataMatrix:
         n, d = values.shape
         if n < 2 or d < 1:
             raise DataError(f"need at least 2 rows and 1 column, got {n}x{d}")
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(
-                f"non-finite entry at row {bad[0] + 1}, column {bad[1] + 1}"
-            )
+        require_finite(values)
         names = tuple(str(name) for name in self.names)
         if len(names) != d:
             raise DataError(f"{len(names)} labels for {d} columns")
@@ -236,9 +256,9 @@ def _raise_fault(path: Path, header: bool, keep: list[int] | None) -> None:
 
 
 def _resolve_columns(columns, names: list[str]) -> list[int]:
-    """Map labels / 1-based indices to 0-based positions."""
+    """Map labels / 1-based indices to 0-based positions; a bare str is one label."""
     out = []
-    for col in columns:
+    for col in [columns] if isinstance(columns, str) else columns:
         if not isinstance(col, str):
             require_integers(column=col)
             if not 1 <= col <= len(names):
@@ -254,6 +274,118 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
     return out
 
 
+def _parse(path: Path, header: bool, skip: int, width: int, keep: list[int],
+           auto: bool) -> np.ndarray:
+    """The kept columns of the rows after the first ``skip`` lines, as floats.
+
+    With ``auto`` every column not kept is a label column, which must hold no
+    number. Raises a DataError naming the first fault.
+    """
+    # a label column is read as Python strings, in C, and each distinct label
+    # is tested once for a number; an unselected column is read as its first
+    # character, in C. Every cell is a field of the row's record, so numpy
+    # checks each row's cell count.
+    unread = "O" if auto else "U1"
+    record = np.dtype([(f"f{j}", "f8" if j in keep else unread) for j in range(width)])
+    try:
+        table = np.loadtxt(
+            path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
+            encoding="utf-8-sig", ndmin=1, dtype=record)
+        if auto:
+            labels = (set(table[f"f{j}"]) for j in range(width) if j not in keep)
+            if any(_is_number(label) for column in labels for label in column):
+                raise ValueError("a number in a label column")
+        values = np.empty((len(table), len(keep)))
+        for i, j in enumerate(keep):
+            values[:, i] = table[f"f{j}"]
+        if not np.isfinite(values).all():
+            raise ValueError("a cell could not be read")
+    except ValueError as exc:
+        _raise_fault(path, header, None if auto else keep)
+        raise DataError(f"{path}: {exc}") from None
+    return values
+
+
+def _stamp(path: Path) -> tuple[int, int, int]:
+    """Size, mtime and inode of a file: they change when it is rewritten."""
+    status = path.stat()
+    return status.st_size, status.st_mtime_ns, status.st_ino
+
+
+def _cache_entry(path: Path, request: str) -> tuple[Path, tuple[int, int, int]] | None:
+    """The cache entry of the file's bytes parsed under ``request``, with the
+    file's stamp taken before the bytes were hashed.
+
+    The key is the sha256 of the loader (numpy's version and this module's
+    source), the request and the file's bytes, read in 1 MiB chunks; no
+    timestamp or inode stands in for the bytes. None for a file below
+    CACHE_BYTES, parsed every time without importing hashlib, and when the
+    file cannot be read or no cache directory can be named.
+    """
+    stamp = _stamp(path)
+    if stamp[0] < CACHE_BYTES:
+        return None
+    import hashlib  # here, so that a small file never pays its import (5 ms)
+
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        root = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
+        source = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
+        key = hashlib.sha256(f"{np.__version__}\0{source}\0{request}\0".encode())
+        with open(path, "rb") as handle:
+            while chunk := handle.read(1 << 20):
+                key.update(chunk)
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    return root / "mvskew" / f"{key.hexdigest()}.npy", stamp
+
+
+def _cache_load(entry: Path, names: tuple[str, ...]) -> DataMatrix | None:
+    """The DataMatrix stored at ``entry``, or None when the entry is missing,
+    truncated or corrupt. A hit refreshes the entry's mtime.
+
+    The entry is mapped, not read: a damaged header that claims more rows
+    than the file holds fails to map instead of allocating them, and the
+    DataMatrix's own copy is the one read of the values.
+    """
+    try:
+        values = np.load(entry, mmap_mode="r", allow_pickle=False)
+        if values.dtype != np.float64:
+            return None
+        data = DataMatrix(values, names)
+    except (OSError, EOFError, ValueError):  # a DataError is a ValueError
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return data
+
+
+def _cache_store(entry: Path, stamp: tuple[int, int, int], path: Path,
+                 values: np.ndarray) -> None:
+    """Store a parse at ``entry``, unless the file changed while it was read,
+    and evict the entries with the oldest mtimes past CACHE_ENTRIES.
+
+    The entry is written under a temporary name and renamed into place, so
+    no reader sees half of it. An unwritable cache directory stores nothing.
+    """
+    with contextlib.suppress(OSError):
+        if _stamp(path) != stamp:
+            return
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        try:
+            with os.fdopen(handle, "wb") as out:
+                np.save(out, values, allow_pickle=False)
+            os.replace(temporary, entry)
+        finally:  # a failed write leaves the temporary file: remove it
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+        files = [f for f in entry.parent.iterdir() if f.suffix in (".npy", ".tmp")]
+        files.sort(key=lambda f: f.stat().st_mtime_ns)
+        for old in files[:-CACHE_ENTRIES]:
+            old.unlink()
+
+
 def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     """Read a comma-separated numeric file into a DataMatrix.
 
@@ -264,16 +396,26 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     finite number, or a DataError names its row (non-blank rows counted
     from 1, header included) and column; a ragged row is named the same way.
 
+    A file of at least CACHE_BYTES is parsed once: the values of each
+    successful parse are kept as ``<sha256>.npy`` under
+    ``$XDG_CACHE_HOME/mvskew`` (default ``~/.cache/mvskew``) and read back
+    while the file's bytes, the header and column request and the loader
+    are unchanged. The header and the column request are checked first,
+    so their errors are the same on a hit. Failed parses are not kept, an
+    unreadable entry is parsed again and rewritten, and an unwritable cache
+    directory turns the cache off. At most CACHE_ENTRIES entries are kept.
+
     Parameters
     ----------
     path : str or Path
         UTF-8 file (a byte-order mark is dropped; a byte that is not UTF-8
         is a DataError naming its byte offset), comma separator, period
         decimal mark, cells optionally double-quoted; blank lines skipped.
-    columns : sequence of str or int, optional
+    columns : str, int or sequence of str or int, optional
         Columns to keep, by label or by *1-based* position (matching the
         command-line ``--columns 1-4`` syntax); a position must be an int or
-        a numpy integer, not a bool. Default: the numeric columns.
+        a numpy integer, not a bool, and a bare str is one label. Default:
+        the numeric columns.
     header : bool, optional
         Whether the first row is a header. Default auto-detects: the first
         row is treated as a header when any of its cells is not a number.
@@ -307,37 +449,22 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
 
         if columns is None:
             keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
-            # a label column is read as Python strings, in C, and each
-            # distinct label is tested once for a number
-            unread = "O"
         else:
-            keep = _resolve_columns(list(columns), names)
+            keep = _resolve_columns(columns, names)
             if not keep:
                 raise PreconditionError("empty column selection")
-            # an unselected column is read as its first character, in C
-            unread = "U1"
-        # every cell is a field of the row's record, so numpy checks each
-        # row's cell count
-        record = np.dtype([(f"f{j}", "f8" if j in keep else unread) for j in range(width)])
-        try:
-            table = np.loadtxt(
-                path, delimiter=",", quotechar='"', comments=None, skiprows=skip,
-                encoding="utf-8-sig", ndmin=1, dtype=record)
-            if columns is None:
-                labels = (set(table[f"f{j}"]) for j in range(width) if j not in keep)
-                if any(_is_number(label) for column in labels for label in column):
-                    raise ValueError("a number in a label column")
-            values = np.empty((len(table), len(keep)))
-            for i, j in enumerate(keep):
-                values[:, i] = table[f"f{j}"]
-            if not np.isfinite(values).all():
-                raise ValueError("a cell could not be read")
-        except ValueError as exc:
-            _raise_fault(path, header, None if columns is None else keep)
-            raise DataError(f"{path}: {exc}") from None
-        if not keep:
-            raise DataError(f"{path}: no numeric columns found")
-        return DataMatrix(values, tuple(names[j] for j in keep))
+        kept = tuple(names[j] for j in keep)
+        cache = _cache_entry(
+            path, f"header={header} columns={'auto' if columns is None else keep}")
+        data = _cache_load(cache[0], kept) if cache else None
+        if data is None:
+            values = _parse(path, header, skip, width, keep, columns is None)
+            if not keep:
+                raise DataError(f"{path}: no numeric columns found")
+            data = DataMatrix(values, kept)
+            if cache:
+                _cache_store(*cache, path, data.values)
+        return data
     except UnicodeDecodeError:
         # the decoder counts from the start of its read chunk: decode the
         # whole file again for the offset in the file
@@ -537,14 +664,15 @@ def covariance(data) -> np.ndarray:
 def inv_sqrt(matrix) -> np.ndarray:
     """Inverse of the symmetric positive definite square root of a matrix.
 
-    The matrix must be square and symmetric to 1e-12 relative (DataError,
-    the package's one symmetry check of a covariance) and pass the
+    The matrix must be square, finite and symmetric to 1e-12 relative
+    (DataError, the package's one symmetry check of a covariance) and pass the
     singularity test of :func:`whiten` (SingularityError). The result R is
     symmetric, positive definite, and satisfies R @ S @ R = I to 1e-10.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DataError(f"expected a square matrix, got shape {matrix.shape}")
+    require_finite(matrix)
     if np.abs(matrix - matrix.T).max() > 1e-12 * np.abs(matrix).max():
         raise DataError("matrix is not symmetric to within 1e-12 relative")
     _, eigvals, eigvecs, singular = _spectrum(matrix)

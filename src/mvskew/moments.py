@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, as_data_matrix, format_matrix, require_integers
+from .data import (DataError, as_data_matrix, format_matrix, require_finite,
+                   require_integers)
 
 __all__ = [
     "KINDS",
@@ -51,9 +52,7 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     triple, after checking it is finite and index-symmetric to within
     SYMMETRY_RTOL relative. Output is exactly invariant under index
     permutations."""
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise DataError(f"non-finite entry at row {row + 1}, column {col + 1}")
+    require_finite(values)
     _, _, fill, slots = triple_layout(values.shape[1])
     canon = values.ravel()[slots][fill].reshape(values.shape)
     if np.abs(canon - values).max() > SYMMETRY_RTOL * max(np.abs(values).max(), 1.0):

@@ -14,6 +14,16 @@ GRAM_BLOCK = 1024
 _acceptance: dict[str, str] = {}
 
 
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path, monkeypatch) -> Path:
+    """This test's own XDG_CACHE_HOME, which the CLI and demo subprocesses
+    it starts inherit: no test writes load_csv's cache to the real home, and
+    no test reads another test's entries."""
+    home = tmp_path / "cache-home"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(scope="session")
 def iris_path() -> Path:
     return DATA_DIR / "iris.csv"

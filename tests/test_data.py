@@ -34,6 +34,13 @@ def test_load_by_name(iris_path):
     assert data.values[0, 0] == 0.2 and data.values[0, 1] == 5.1
 
 
+def test_load_bare_string_is_one_label(iris_path):
+    one = load_csv(iris_path, columns="sepal_length")
+    listed = load_csv(iris_path, columns=["sepal_length"])
+    assert one.names == listed.names == ("sepal_length",)
+    assert one.values.tobytes() == listed.values.tobytes()
+
+
 def test_load_drops_label_column_by_default(iris_path):
     # no selection: non-numeric species column is excluded automatically
     data = load_csv(iris_path)
@@ -292,6 +299,17 @@ def test_inv_sqrt_random_spd(seed):
 def test_inv_sqrt_near_singular():
     with pytest.raises(SingularityError):
         inv_sqrt(np.diag([1.0, 1e-12]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inv_sqrt_names_the_first_non_finite_entry(bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = matrix[2, 1] = bad
+    with pytest.raises(DataError, match=r"^non-finite entry at row 2, column 3$"):
+        inv_sqrt(matrix)
+    with pytest.raises(DataError, match=r"^non-finite entry at row 1, column 1$"):
+        inv_sqrt([[bad, 0.0], [0.0, 1.0]])
 
 
 def test_spd_rejects_asymmetric():

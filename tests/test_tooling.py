@@ -41,6 +41,20 @@ def test_demo_runs(demo, tmp_path):
     assert result.stdout
 
 
+def test_each_test_has_its_own_cache_home(tmp_path, cache_home, monkeypatch):
+    # conftest points XDG_CACHE_HOME into this test's tmp_path, and the
+    # subprocesses a test starts inherit it
+    assert os.environ["XDG_CACHE_HOME"] == str(cache_home)
+    assert cache_home.parent == tmp_path
+    child = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.environ['XDG_CACHE_HOME'])"],
+        capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == str(cache_home)
+    monkeypatch.setattr(mvskew.data, "CACHE_BYTES", 0)
+    mvskew.load_csv(ROOT / "data" / "iris.csv")
+    assert len(list((cache_home / "mvskew").glob("*.npy"))) == 1
+
+
 def test_import_builds_no_format_table():
     # format_matrix builds its digit table on first use, so import stays cheap
     code = "import mvskew; print(mvskew.data._digit_table.cache_info().currsize)"
