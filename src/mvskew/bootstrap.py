@@ -124,18 +124,16 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     values = np.empty(replicates)
     redraws = 0
     steps = -(-int(units) // 4)  # Philox counter steps per replicate, 4 doubles each
-    bits = np.random.Philox(0)
-    origins = []  # counter-0 state on the key of (seed, attempt), derived once
+    keys = []  # the Philox key of (seed, attempt), derived once
     size = max(1, BLOCK_ELEMENTS // (units * data.d**2))
     for start in range(0, replicates, size):
         pending = np.arange(start, min(start + size, replicates))  # no value yet
         for attempt in range(MAX_REDRAWS):
-            if attempt == len(origins):
-                key = np.random.SeedSequence(seed, spawn_key=(attempt,))
-                origins.append(np.random.Philox(key).state)
+            if attempt == len(keys):
+                keys.append(np.random.SeedSequence(seed, spawn_key=(attempt,))
+                            .generate_state(2, np.uint64))
             first = int(pending[0])
-            bits.state = origins[attempt]
-            bits.advance(first * steps)
+            bits = np.random.Philox(key=keys[attempt], counter=first * steps)
             u = np.random.Generator(bits).random((int(pending[-1]) + 1 - first, 4 * steps))
             rows = (data.n * u[pending - first, :units]).astype(np.intp)
             z, _, regular = whiten(data.values[rows])

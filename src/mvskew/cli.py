@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,8 +26,6 @@ from .projection import ProjectionBasis, max_skew
 from .symmetrize import min_skew
 
 __all__ = ["main"]
-
-ENV_OUTPUT_DIR = "MVSKEW_OUTPUT_DIR"
 
 
 def _parse_selection(spec: str):
@@ -84,9 +81,17 @@ def _cell(value, precision: int) -> str:
     return f"%.{precision}g" % value
 
 
+def _field(text: str) -> str:
+    """A CSV field, quoted as RFC 4180 asks when it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _rows(rows, precision: int) -> str:
     """CSV text with one line per row of cells, e.g. key,value pairs."""
-    return "".join(",".join(_cell(v, precision) for v in row) + "\n" for row in rows)
+    return "".join(",".join(_field(_cell(v, precision)) for v in row) + "\n"
+                   for row in rows)
 
 
 def _summary(items: dict, precision: int) -> None:
@@ -100,7 +105,7 @@ def _write(args, name: str, text) -> None:
     content; a dict is written as sorted, indented JSON with numpy arrays as
     lists, and a function is called with the path to write the file itself.
     """
-    directory = Path(args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or ".")
+    directory = Path(args.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
     if callable(text):
@@ -205,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--rows", help="1-based row selection, e.g. 1-50")
     common.add_argument("--header", choices=["auto", "yes", "no"], default="auto",
                         help="whether the first row is a header (default: auto)")
-    common.add_argument("--output-dir", default=None,
-                        help=f"output directory (default: ${ENV_OUTPUT_DIR} or .)")
+    common.add_argument("--output-dir", default=".",
+                        help="output directory (default: .)")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--precision", type=int, default=6,
                         help="significant digits in output, 1..15 (default 6)")

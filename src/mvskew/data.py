@@ -630,7 +630,11 @@ def format_matrix(matrix, precision: int) -> str:
     +-inf take the one ``%`` route, a single call over their cells, as does
     every cell of a slice of fewer than KERNEL_CELLS cells. The matrix is
     formatted FORMAT_CELLS cells at a time, which bounds the temporaries.
+    ``precision`` must be an integer from 0 to 17 (PreconditionError).
     """
+    require_integers(precision=precision)
+    if not 0 <= precision <= 17:
+        raise PreconditionError(f"precision must be from 0 to 17, got {precision}")
     matrix = np.atleast_2d(matrix)
     if matrix.ndim != 2:
         raise DataError(f"expected a 1-d or 2-d array, got ndim={matrix.ndim}")

@@ -38,8 +38,8 @@ class SkewnessReport:
     otherwise. ``vector`` carries the Mori-Rohatgi-Szekely vector for the
     partial measure. ``statistic``/``dof``/``pvalue`` are present only for
     the measures with a parametric chi-square null (mardia, partial); the
-    p-value is computed on first read, so a caller that needs only
-    ``value`` (the bootstrap) never pays for it.
+    p-value is computed on first read, so reading only ``value`` never
+    pays for it.
     """
 
     measure: str

@@ -258,10 +258,10 @@ def block(m3: ThirdMomentMatrix, i: int) -> np.ndarray:
 
 def save_third_moment(m3: ThirdMomentMatrix, path, precision: int = 17) -> None:
     """Write to CSV: one `# kind=...` comment line, then d^2 rows of d values."""
-    path = Path(path)
+    text = format_matrix(m3.values, precision)  # a bad precision writes no file
     with open(path, "w") as handle:
         handle.write(f"# kind={m3.kind}\n")
-        handle.write(format_matrix(m3.values, precision))
+        handle.write(text)
 
 
 def load_third_moment(path) -> ThirdMomentMatrix:

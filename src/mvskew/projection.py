@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreconditionError, as_data_matrix, require_integers
+from .data import DataMatrix, PreconditionError, as_data_matrix, require_integers
 from .moments import moment_stack, pair_layout, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
@@ -66,6 +66,15 @@ class ProjectionBasis:
     restarts: tuple[int, ...] = ()
     converged: tuple[int, ...] = ()
     winners: tuple[int, ...] = ()
+
+    @classmethod
+    def of(cls, data: DataMatrix, standardized: np.ndarray, skewness: np.ndarray,
+           **diagnostics) -> "ProjectionBasis":
+        """The basis of whitened-space directions ``standardized`` for
+        ``data``: ``directions`` and ``projected`` from its cached whitening."""
+        z, root = data.whitening
+        return cls(directions=root @ standardized, standardized_directions=standardized,
+                   skewness=skewness, projected=z @ standardized, **diagnostics)
 
 
 def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
@@ -213,7 +222,6 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
             f"components must be a positive integer smaller than the number "
             f"of variables ({data.d}), got {components}"
         )
-    z, root = data.whitening
     cumulant = reduced = third_moment(data, "standardized")
 
     basis = np.eye(data.d)  # orthonormal basis of the not-yet-searched subspace
@@ -226,16 +234,5 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
         # shrink the search space to the orthogonal complement
         basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
     columns, gammas, restarts, converged, winners = zip(*found)
-
-    standardized_directions = np.column_stack(columns)
-    projected = z @ standardized_directions
-    directions = root @ standardized_directions
-    return ProjectionBasis(
-        directions=directions,
-        standardized_directions=standardized_directions,
-        skewness=np.array(gammas),
-        projected=projected,
-        restarts=restarts,
-        converged=converged,
-        winners=winners,
-    )
+    return ProjectionBasis.of(data, np.column_stack(columns), np.array(gammas),
+                              restarts=restarts, converged=converged, winners=winners)

@@ -49,7 +49,6 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
             f"dimension must be an integer between 2 and the number of "
             f"variables ({data.d}), got {dimension}"
         )
-    z, root = data.whitening
     cumulant = third_moment(data, "standardized").values
     _, singular_values, vt = np.linalg.svd(cumulant, full_matrices=False)
     # smallest `dimension` singular values; SVD order (descending) preserved
@@ -59,14 +58,7 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
     # each column's first largest-magnitude entry made positive
     leading = selected[np.argmax(np.abs(selected), axis=0), np.arange(dimension)]
     selected[:, leading < 0] *= -1.0
-    projected = z @ selected
-    directions = root @ selected
-    return ProjectionBasis(
-        directions=directions,
-        standardized_directions=selected,
-        skewness=values,
-        projected=projected,
-    )
+    return ProjectionBasis.of(data, selected, values)
 
 
 def residual_skewness(basis: ProjectionBasis, data) -> SkewnessReport:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -82,6 +83,21 @@ def test_skew_rows_selection(tmp_path, iris_path):
     assert code == 0
     text = (tmp_path / "skew_fisher.csv").read_text()
     assert "1.2159" in text  # setosa petal width skewness
+
+
+def test_key_value_files_quote_labels(tmp_path, iris):
+    # a label holding a comma or a quote stays one cell of its row
+    source = tmp_path / "labels.csv"
+    source.write_text('"a,b","say ""hi"""\n'
+                      + "".join(f"{x},{y}\n" for x, y in iris.values[:, :2]))
+    assert main(["skew", str(source), "--measure", "fisher",
+                 "--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "skew_fisher.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [len(row) for row in rows] == [2, 2, 2]
+    assert [row[0] for row in rows] == ["measure", "value.a,b", 'value.say "hi"']
+    assert [row[1] for row in rows[1:]] == [
+        "%.6g" % v for v in mvskew.fisher_skew(iris.values[:, :2])]
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +468,6 @@ def test_precision_out_of_range(tmp_path, iris_path, capsys):
                  "--output-dir", str(tmp_path)])
     assert code == 2
     assert "precision" in capsys.readouterr().err
-
-
-def test_output_dir_from_environment(tmp_path, iris_path, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("MVSKEW_OUTPUT_DIR", str(target))
-    code = main(["skew", str(iris_path), "--measure", "mardia",
-                 "--columns", "1-4"])
-    assert code == 0
-    assert (target / "skew_mardia.csv").exists()
 
 
 def test_console_entry_point(tmp_path, iris_path):

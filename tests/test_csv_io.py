@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mvskew import DataError, data, load_csv
+from mvskew import DataError, PreconditionError, data, load_csv
 from mvskew.data import format_matrix
 
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -65,6 +65,12 @@ def test_format_matrix_matches_per_cell_format(precision):
 def test_format_matrix_refuses_more_than_two_dimensions(cells):
     with pytest.raises(DataError, match="ndim=3$"):
         format_matrix(np.ones((2, 2, cells // 4)), 6)
+
+
+@pytest.mark.parametrize("precision", [-1, 1.5, True, 18])
+def test_format_matrix_refuses_a_precision_out_of_range(precision):
+    with pytest.raises(PreconditionError, match="precision"):
+        format_matrix(np.ones((2, 2)), precision)
 
 
 def _near_power_of_ten(k: int, step: int) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from mvskew import (
     PreconditionError,
     SingularityError,
     covariance,
+    fisher_skew,
     inv_sqrt,
     load_csv,
     mardia_skewness,
@@ -206,6 +209,18 @@ def test_data_matrix_rejects_single_row():
         as_data_matrix([[1.0, 2.0]])
 
 
+def test_data_matrix_rejects_a_3d_array():
+    with pytest.raises(DataError, match=r"^expected a 2-d array, got ndim=3$"):
+        DataMatrix(np.ones((3, 2, 2)), ("a", "b"))
+
+
+def test_a_1d_input_is_one_column():
+    data = as_data_matrix([1, 2, 5])
+    assert data.names == ("x1",)
+    assert data.values.tolist() == [[1.0], [2.0], [5.0]]
+    assert fisher_skew([1, 2, 5]).tolist() == fisher_skew([[1], [2], [5]]).tolist()
+
+
 def test_data_matrix_rejects_duplicate_names():
     with pytest.raises(DataError, match="duplicate"):
         DataMatrix(np.eye(2), ("a", "a"))
@@ -294,6 +309,12 @@ def test_inv_sqrt_random_spd(seed):
     assert_allclose(root, root.T, atol=0)
     assert np.abs(root @ spd @ root - np.eye(6)).max() < 1e-10
     assert np.linalg.eigvalsh(root)[0] > 0
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_inv_sqrt_refuses_a_matrix_that_is_not_square(shape):
+    with pytest.raises(DataError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        inv_sqrt(np.ones(shape))
 
 
 def test_inv_sqrt_near_singular():

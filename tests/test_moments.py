@@ -237,6 +237,17 @@ def test_block_out_of_range(iris):
             block(m3, index)
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 1, 1)])
+def test_rejects_a_matrix_that_is_not_2d(shape):
+    with pytest.raises(DataError, match=r"^expected a 2-d array$"):
+        ThirdMomentMatrix(np.ones(shape), "raw")
+
+
+def test_third_moment_refuses_an_unknown_kind(iris):
+    with pytest.raises(DataError, match=r"kind must be one of .*, got 'bogus'$"):
+        third_moment(iris, "bogus")
+
+
 # ---------------------------------------------------------------------------
 # cumulant identity
 # ---------------------------------------------------------------------------
@@ -272,6 +283,17 @@ def test_cumulant_identity_requires_raw(iris):
     central = third_moment(iris, "central")
     with pytest.raises(DataError, match="raw"):
         cumulant_from_moments(central, np.eye(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("m2, mu, message", [
+    (np.eye(3), np.zeros(4), r"second moment shape \(3, 3\) does not match d=4"),
+    (np.ones(16), np.zeros(4), r"second moment shape \(16,\) does not match d=4"),
+    (np.eye(4), np.zeros(3), r"mean length 3 does not match d=4"),
+    (np.eye(4), np.zeros(8), r"mean length 8 does not match d=4"),
+])
+def test_cumulant_identity_checks_the_moment_shapes(iris, m2, mu, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        cumulant_from_moments(third_moment(iris, "raw"), m2, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +372,14 @@ def test_save_load_roundtrip(tmp_path, iris):
     assert loaded.kind == "standardized"
     assert np.array_equal(loaded.values, m3.values)
     assert path.read_text().startswith("# kind=standardized\n")
+
+
+@pytest.mark.parametrize("precision", [-1, 1.5, True, 18])
+def test_save_refuses_a_bad_precision_and_writes_no_file(tmp_path, iris, precision):
+    path = tmp_path / "third.csv"
+    with pytest.raises(PreconditionError, match="precision"):
+        save_third_moment(third_moment(iris, "raw"), path, precision)
+    assert not path.exists()
 
 
 def test_load_requires_kind_header(tmp_path):

@@ -86,6 +86,38 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
+def _environment_reads(tree: ast.AST) -> list[str]:
+    """Each use of environ or getenv (as os.environ or imported from os) in
+    a module, as source text, unless it reads the key "XDG_CACHE_HOME"."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name not in ("environ", "getenv"):
+            continue
+        use = parents[node]
+        if isinstance(use, ast.Attribute) and use.attr == "get":  # os.environ.get(...)
+            use = parents[use]
+        key = (use.slice if isinstance(use, ast.Subscript)
+               else use.args[0] if isinstance(use, ast.Call) and use.args else None)
+        if not (isinstance(key, ast.Constant) and key.value == "XDG_CACHE_HOME"):
+            found.append(ast.unparse(use))
+    return found
+
+
+def test_no_mvskew_environment_variable():
+    # every setting is an argument or an option; the library reads only the
+    # cache home from the environment
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}: {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.startswith("MVSKEW_")]
+        offenders += [f"{path.name}: {use}" for use in _environment_reads(tree)]
+    assert offenders == []
+
+
 # Adding a public name means adding it here.
 PUBLIC = [
     "BootstrapResult", "DataError", "DataMatrix", "PreconditionError",
