@@ -81,9 +81,10 @@ def _cell(value, precision: int) -> str:
     return f"%.{precision}g" % value
 
 
-def _field(text: str) -> str:
-    """A CSV field, quoted as RFC 4180 asks when it holds , " CR or LF."""
-    if any(c in text for c in ',"\r\n'):
+def _field(text: str, special: str = ',"\r\n') -> str:
+    """A CSV field, quoted as RFC 4180 asks when it holds a character of
+    ``special``: by default , " CR or LF."""
+    if any(c in text for c in special):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -95,7 +96,10 @@ def _rows(rows, precision: int) -> str:
 
 
 def _summary(items: dict, precision: int) -> None:
-    print(", ".join(f"{key}={_cell(v, precision)}" for key, v in items.items()))
+    """Print one line ``key=value, key=value``; a key holding , = " CR or LF
+    is quoted as a CSV field, so the line splits back into its pairs."""
+    pairs = ((_field(key, ',="\r\n'), _cell(v, precision)) for key, v in items.items())
+    print(", ".join(f"{key}={value}" for key, value in pairs))
 
 
 def _write(args, name: str, text) -> None:

@@ -14,7 +14,7 @@ from mvskew import (
     skew_boot,
     third_moment,
 )
-from mvskew import bootstrap, moments
+from mvskew import bootstrap, measures, moments
 from mvskew.bootstrap import BLOCK_ELEMENTS, DIRECTIONAL_ITERATIONS, MAX_REDRAWS, MEASURES
 from mvskew.measures import mardia_values
 
@@ -57,22 +57,33 @@ def _own_value(data, seed, r, units, public):
     return None, MAX_REDRAWS
 
 
-@pytest.mark.parametrize("measure, public", [
-    ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS)),
-    ("Partial", partial_skewness),
-    ("Mardia", mardia_skewness),
+# seeded gamma-mixed 400 x 16: a resample of 60 rows takes Mardia's Gram route
+# (4 * 60 <= 16^2), and a block holds 2^16 // (60 * 16^2) = 4 of them
+GAMMA16 = DataMatrix(np.random.default_rng(16).gamma(2.0, size=(400, 16))
+                     @ np.random.default_rng(17).standard_normal((16, 16)),
+                     tuple(f"x{i}" for i in range(16)))
+
+
+@pytest.mark.parametrize("measure, public, dataset, units", [
+    pytest.param("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS),
+                 "iris", 150, id="Directional-<lambda>"),
+    pytest.param("Partial", partial_skewness, "iris", 150, id="Partial-partial_skewness"),
+    pytest.param("Mardia", mardia_skewness, "iris", 150, id="Mardia-mardia_skewness"),
+    pytest.param("Mardia", mardia_skewness, "gamma16", 60, id="Mardia-gram-route"),
 ])
-def test_statistics_are_the_public_measure_values(iris, measure, public):
+def test_statistics_are_the_public_measure_values(iris, measure, public, dataset, units):
     # two full blocks and a partial third: every replicate, wherever it sits
     # in its block, is the public value on its own resample, to the bit
-    units = 150
-    block = BLOCK_ELEMENTS // (units * iris.d**2)
+    data = GAMMA16 if dataset == "gamma16" else iris
+    if data is GAMMA16:
+        assert measures._gram_route(units, data.d)
+    block = BLOCK_ELEMENTS // (units * data.d**2)
     assert block > 1
     replicates = 2 * block + block // 2
-    result = skew_boot(iris, replicates=replicates, units=units, measure=measure,
+    result = skew_boot(data, replicates=replicates, units=units, measure=measure,
                        seed=5)
-    assert result.observed == public(iris).value
-    expected = [_own_value(iris, 5, r, units, public)[0] for r in range(replicates)]
+    assert result.observed == public(data).value
+    expected = [_own_value(data, 5, r, units, public)[0] for r in range(replicates)]
     assert result.replicates.tolist() == expected
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,25 @@ def test_key_value_files_quote_labels(tmp_path, iris):
     assert [row[0] for row in rows] == ["measure", "value.a,b", 'value.say "hi"']
     assert [row[1] for row in rows[1:]] == [
         "%.6g" % v for v in mvskew.fisher_skew(iris.values[:, :2])]
+
+
+def test_summary_line_quotes_labels(tmp_path, iris, capsys):
+    # a label holding a comma, a quote or = is quoted as a CSV field, so the
+    # stdout line splits back into its key=value pairs
+    source = tmp_path / "labels.csv"
+    source.write_text('"a,b","say ""hi""",x=y\n'
+                      + "".join(f"{x},{y},{z}\n" for x, y, z in iris.values[:, :3]))
+    assert main(["skew", str(source), "--measure", "fisher",
+                 "--output-dir", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    values = ["%.6g" % v for v in mvskew.fisher_skew(iris.values[:, :3])]
+    assert line == (f'measure=fisher, "value.a,b"={values[0]}, '
+                    f'"value.say ""hi"""={values[1]}, "value.x=y"={values[2]}')
+    pairs = re.findall(r'("(?:[^"]|"")*"|[^",=]*)=([^,]*)(?:, |$)', line)
+    assert [(key[1:-1].replace('""', '"') if key.startswith('"') else key, value)
+            for key, value in pairs] == [
+        ("measure", "fisher"), ("value.a,b", values[0]), ('value.say "hi"', values[1]),
+        ("value.x=y", values[2])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import mvskew
 from mvskew import (
+    DataMatrix,
     SingularityError,
     chi2_sf,
     directional_skewness,
@@ -21,6 +23,8 @@ from mvskew import (
     third_moment,
 )
 from mvskew import measures
+from mvskew.data import whiten
+from mvskew.measures import mardia_values
 
 
 def pooled_with_reflection(values):
@@ -113,6 +117,55 @@ def test_mardia_frobenius_identity(iris):
     # the value is the squared Frobenius norm of the standardized cumulant
     k3z = third_moment(iris, "standardized").values
     assert abs(mardia_skewness(iris).value - (k3z**2).sum()) < 1e-12
+
+
+def _whitened(rng, shape):
+    return whiten(rng.gamma(2.0, size=shape))[0]
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+@pytest.mark.parametrize("ratio, gram", [(4, True), (2, False)],
+                         ids=["gram-side", "moment-side"])
+def test_mardia_routes_agree_on_both_sides_of_the_rule(d, ratio, gram, monkeypatch,
+                                                       mardia_pairwise):
+    n = d * d // ratio
+    assert measures._gram_route(n, d) is gram
+    x = np.random.default_rng(d + ratio).gamma(2.0, size=(n, d))
+    public = mardia_skewness(x).value
+    z = DataMatrix(x, tuple(map(str, range(d)))).whitening[0][None]
+    routes = {}
+    for name, rule in (("gram", 0), ("moment", n + d * d)):
+        monkeypatch.setattr(measures, "GRAM_RATIO", rule)
+        routes[name] = float(mardia_values(z)[0])
+    assert routes["gram" if gram else "moment"] == public
+    reference = mardia_pairwise(x)
+    for value in (routes["moment"], reference):
+        assert abs(routes["gram"] - value) <= 1e-13 * value
+
+
+def test_gram_route_slices_keep_their_own_bits():
+    # n = 200 spans two row blocks of the Gram matrix
+    z = _whitened(np.random.default_rng(3), (3, 200, 32))
+    assert measures._gram_route(200, 32)
+    assert measures.GRAM_ELEMENTS // 200 < 200
+    stacked = mardia_values(z)
+    for k in range(3):
+        assert stacked[k].tobytes() == mardia_values(z[k][None])[0].tobytes()
+        assert stacked[k].tobytes() == mardia_values(z[k]).tobytes()
+
+
+def test_gram_route_memory_stays_in_row_blocks():
+    # an n x n Gram matrix of 1024 rows would take 8 MB; blocks of 32 rows
+    # take 256 KB each
+    z = _whitened(np.random.default_rng(4), (1, 1024, 64))
+    assert measures._gram_route(1024, 64)
+    tracemalloc.start()
+    try:
+        mardia_values(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
