@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (PreconditionError, SingularityError, as_data_matrix, require_integers,
-                   whiten)
+from .data import PreconditionError, SingularityError, as_data_matrix, require_count, whiten
 from .measures import mardia_values, partial_values
 from .projection import directional_values, require_directional
 
@@ -103,17 +102,10 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
         ) from None
     if measure == "Directional":
         require_directional(data.d)
-    require_integers(units=units, replicates=replicates)
-    minimum = data.d + 1 if measure == "Partial" else data.d
-    if units <= minimum:
-        raise PreconditionError(
-            f"units must be greater than {minimum} for the {measure} "
-            f"measure on {data.d} variables, got {units}"
-        )
-    if replicates < 1:
-        raise PreconditionError(f"replicates must be >= 1, got {replicates}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise PreconditionError(f"seed must be a non-negative integer, got {seed}")
+    require_count(f"units for the {measure} measure on {data.d} variables", units,
+                  data.d + (2 if measure == "Partial" else 1))
+    require_count("replicates", replicates, 1)
+    require_count("seed", seed, 0)
 
     statistic = {
         "Directional": lambda z: directional_values(z, DIRECTIONAL_ITERATIONS),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bootstrap import skew_boot
 from .data import (DataError, DataMatrix, PreconditionError, SingularityError,
-                   format_matrix, load_csv)
+                   format_matrix, load_csv, require_count)
 from .measures import fisher_skew, mardia_skewness, partial_skewness
 from .moments import save_third_moment, third_moment
 from .projection import ProjectionBasis, max_skew
@@ -267,8 +267,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not 1 <= args.precision <= 15:
-            raise PreconditionError(f"precision must be in 1..15, got {args.precision}")
+        require_count("precision", args.precision, 1, 15)
         args.func(args, _load(args))
     except (DataError, SingularityError, OSError) as exc:
         print(f"mvskew: {exc}", file=sys.stderr)

@@ -18,8 +18,9 @@ such as the bootstrap's resamples. A :class:`DataMatrix` whitens its rows
 as a stack of one on first use and caches the result
 (``DataMatrix.whitening``); every standardized quantity of a DataMatrix
 reads that cache.
-Argument checks that callers can get wrong (counts, dimensions,
-measure names) raise :class:`PreconditionError`.
+Argument checks that callers can get wrong (counts, indices, names)
+raise :class:`PreconditionError`; :func:`require_count` checks every count
+and index.
 
 :func:`format_matrix` writes every value exactly as C's ``"%.{p}g"`` does.
 At p <= 15 a numpy kernel writes the finite nonzero values that print in
@@ -90,12 +91,17 @@ class SingularityError(ValueError):
     """A covariance or SPD matrix is numerically singular."""
 
 
-def require_integers(**counts) -> None:
-    """Raise PreconditionError unless every keyword's value is an int or a
-    numpy integer; a bool is neither here."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+def require_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise PreconditionError unless ``value`` is an int or a numpy integer
+    (a bool is neither here) from ``low`` to ``high``, or at least ``low``
+    when ``high`` is None: the one check of every count and index argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if high is None:
+        if value < low:
+            raise PreconditionError(f"{name} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise PreconditionError(f"{name} must be from {low} to {high}, got {value}")
 
 
 def require_finite(values: np.ndarray) -> None:
@@ -160,8 +166,17 @@ class DataMatrix:
         return z[0], roots[0]
 
     def select_rows(self, indices: Sequence[int]) -> "DataMatrix":
-        """Return the sub-matrix of the given 0-based row indices."""
-        return DataMatrix(self.values[list(indices)], self.names)
+        """Return the sub-matrix of the given 0-based row indices: read as
+        one numpy array of integers from 0 to n - 1 (PreconditionError names
+        its dtype or its extreme index). No index at all is a DataError."""
+        rows = np.asarray(indices)
+        if rows.size:
+            if rows.dtype.kind not in "iu":
+                raise PreconditionError(f"row indices must be integers, got dtype {rows.dtype}")
+            for row in (rows.min(), rows.max()):
+                require_count("row", row, 0, self.n - 1)
+        # an empty list reads as floats
+        return DataMatrix(self.values[rows.astype(np.intp, copy=False)], self.names)
 
 
 def as_data_matrix(data) -> DataMatrix:
@@ -260,11 +275,7 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
     out = []
     for col in [columns] if isinstance(columns, str) else columns:
         if not isinstance(col, str):
-            require_integers(column=col)
-            if not 1 <= col <= len(names):
-                raise PreconditionError(
-                    f"column index {col} out of range 1..{len(names)}"
-                )
+            require_count("column", col, 1, len(names))
             out.append(int(col) - 1)
         else:
             try:
@@ -632,9 +643,7 @@ def format_matrix(matrix, precision: int) -> str:
     formatted FORMAT_CELLS cells at a time, which bounds the temporaries.
     ``precision`` must be an integer from 0 to 17 (PreconditionError).
     """
-    require_integers(precision=precision)
-    if not 0 <= precision <= 17:
-        raise PreconditionError(f"precision must be from 0 to 17, got {precision}")
+    require_count("precision", precision, 0, 17)
     matrix = np.atleast_2d(matrix)
     if matrix.ndim != 2:
         raise DataError(f"expected a 1-d or 2-d array, got ndim={matrix.ndim}")

@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import SingularityError, as_data_matrix
+from .data import PreconditionError, SingularityError, as_data_matrix, require_count
 from .moments import third_entries, triple_layout
-from .projection import max_skew, require_directional
+from .projection import directional_values, require_directional
 
 __all__ = [
     "SkewnessReport",
@@ -49,18 +49,17 @@ GRAM_ELEMENTS = 2**15
 
 @dataclass(frozen=True)
 class SkewnessReport:
-    """A measure's value(s) plus, where defined, its test statistic.
+    """A measure's scalar value plus, where defined, its test statistic.
 
-    ``value`` is a per-variable vector for the fisher measure and a scalar
-    otherwise. ``vector`` carries the Mori-Rohatgi-Szekely vector for the
-    partial measure. ``statistic``/``dof``/``pvalue`` are present only for
-    the measures with a parametric chi-square null (mardia, partial); the
+    ``vector`` carries the Mori-Rohatgi-Szekely vector for the partial
+    measure. ``statistic``/``dof``/``pvalue`` are present only for the
+    measures with a parametric chi-square null (mardia, partial); the
     p-value is computed on first read, so reading only ``value`` never
     pays for it.
     """
 
     measure: str
-    value: float | np.ndarray
+    value: float
     vector: np.ndarray | None = None
     statistic: float | None = None
     dof: int | None = None
@@ -83,14 +82,12 @@ def chi2_sf(x: float, dof: int) -> float:
     With y = x/2, Q = sum_{j<dof/2} e^-y y^j / j! for even dof, and
     Q = erfc(sqrt y) + sum_{j<(dof-1)/2} e^-y y^(j+1/2) / Gamma(j+3/2) for
     odd dof. Each of the dof//2 terms is formed from its logarithm, and
-    they are added with ``math.fsum``.
+    they are added with ``math.fsum``. ``x`` must be >= 0 and ``dof`` an
+    integer >= 1 (PreconditionError).
     """
     if x < 0:
-        raise ValueError(f"chi-square statistic must be >= 0, got {x}")
-    if dof <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    if dof != int(dof):
-        raise ValueError(f"degrees of freedom must be an integer, got {dof}")
+        raise PreconditionError(f"chi-square statistic must be >= 0, got {x}")
+    require_count("dof", dof, 1)
     y = x / 2.0
     if y == 0 or y == math.inf:
         return float(y == 0)
@@ -158,9 +155,10 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
     size = max(1, GRAM_ELEMENTS // n)
     sums = 0.0
     for start in range(0, n, size):
-        gram = z[..., start:start + size, :] @ np.swapaxes(z, -1, -2)
-        cubes = gram * gram
-        cubes *= gram
+        # one name for the block: the previous block is freed as this one
+        # is formed, so at most two blocks are live
+        cubes = z[..., start:start + size, :] @ np.swapaxes(z, -1, -2)
+        cubes *= cubes * cubes
         # an explicit length: a stack of no row sets has no -1 to infer
         sums = sums + cubes.reshape(z.shape[:-2] + (cubes.shape[-2] * n,)).sum(axis=-1)
     return sums / (n * n)
@@ -203,13 +201,12 @@ def partial_values(z: np.ndarray) -> list[float]:
 def directional_skewness(data, iterations: int = 50) -> SkewnessReport:
     """Maximum squared skewness over unit-direction projections.
 
-    Delegates the search to :func:`mvskew.projection.max_skew` and squares
-    the attained skewness of the best direction. No parametric p-value.
+    :func:`mvskew.projection.directional_values` on the whitened rows as a
+    stack of one: the square of ``max_skew(data, iterations, 1).skewness[0]``,
+    to the bit. No parametric p-value.
     """
     data = as_data_matrix(data)
     require_directional(data.d)
-    basis = max_skew(data, iterations=iterations, components=1)
-    return SkewnessReport(
-        measure="directional",
-        value=float(basis.skewness[0] ** 2),
-    )
+    require_count("iterations", iterations, 1)
+    value = directional_values(data.whitening[0][None], iterations)[0]
+    return SkewnessReport(measure="directional", value=float(value))

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, as_data_matrix, format_matrix, require_finite,
-                   require_integers)
+from .data import (DataError, PreconditionError, as_data_matrix, format_matrix,
+                   require_count, require_finite)
 
 __all__ = [
     "KINDS",
@@ -179,7 +179,7 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
     """
     data = as_data_matrix(data)
     if kind not in KINDS:
-        raise DataError(f"kind must be one of {KINDS}, got {kind!r}")
+        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "raw":
         rows = data.values
     elif kind == "central":
@@ -248,11 +248,9 @@ def transform_third(m3: ThirdMomentMatrix, a) -> ThirdMomentMatrix:
 
 
 def block(m3: ThirdMomentMatrix, i: int) -> np.ndarray:
-    """Block B_i = E(X_i x x'), rows (i-1)d+1 .. i*d, for 1-based integer i."""
-    require_integers(i=i)
+    """Block B_i = E(X_i x x'), rows (i-1)d+1 .. i*d, for an integer i from 1 to d."""
     d = m3.d
-    if not 1 <= i <= d:
-        raise IndexError(f"block index {i} out of range 1..{d}")
+    require_count("i", i, 1, d)
     return m3.values[(i - 1) * d : i * d, :]
 
 

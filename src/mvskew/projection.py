@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, PreconditionError, as_data_matrix, require_integers
+from .data import DataMatrix, PreconditionError, as_data_matrix, require_count
 from .moments import moment_stack, pair_layout, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
@@ -214,14 +214,8 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
         each attained skewness is positive.
     """
     data = as_data_matrix(data)
-    require_integers(iterations=iterations, components=components)
-    if iterations < 1:
-        raise PreconditionError(f"iterations must be >= 1, got {iterations}")
-    if not 1 <= components < data.d:
-        raise PreconditionError(
-            f"components must be a positive integer smaller than the number "
-            f"of variables ({data.d}), got {components}"
-        )
+    require_count("iterations", iterations, 1)
+    require_count("components", components, 1, data.d - 1)
     cumulant = reduced = third_moment(data, "standardized")
 
     basis = np.eye(data.d)  # orthonormal basis of the not-yet-searched subspace

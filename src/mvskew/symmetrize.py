@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, PreconditionError, as_data_matrix, require_integers
+from .data import DataError, as_data_matrix, require_count
 from .measures import SkewnessReport, mardia_skewness
 from .moments import third_moment
 from .projection import ProjectionBasis
@@ -43,12 +43,7 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
         to the zero-mean, identity-covariance ``projected`` ("Projections").
     """
     data = as_data_matrix(data)
-    require_integers(dimension=dimension)
-    if not 2 <= dimension <= data.d:
-        raise PreconditionError(
-            f"dimension must be an integer between 2 and the number of "
-            f"variables ({data.d}), got {dimension}"
-        )
+    require_count("dimension", dimension, 2, data.d)
     cumulant = third_moment(data, "standardized").values
     _, singular_values, vt = np.linalg.svd(cumulant, full_matrices=False)
     # smallest `dimension` singular values; SVD order (descending) preserved

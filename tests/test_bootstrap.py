@@ -271,17 +271,19 @@ def test_histogram_sturges_bin_count(iris):
 # ---------------------------------------------------------------------------
 
 def test_units_constraint_mardia(iris):
-    with pytest.raises(PreconditionError, match="units"):
+    units = "units for the Mardia measure on 4 variables"
+    with pytest.raises(PreconditionError, match=f"^{units} must be >= 5, got 4$"):
         skew_boot(iris, replicates=5, units=4, measure="Mardia", seed=0)
-    with pytest.raises(PreconditionError, match="^units must be an integer, got 20.5$"):
+    with pytest.raises(PreconditionError, match=f"^{units} must be an integer, got 20.5$"):
         skew_boot(iris, replicates=5, units=20.5, measure="Mardia", seed=0)
     skew_boot(iris, replicates=2, units=5, measure="Mardia", seed=0)
 
 
 def test_units_constraint_partial(iris):
-    with pytest.raises(PreconditionError, match="units"):
+    units = "units for the Partial measure on 4 variables"
+    with pytest.raises(PreconditionError, match=f"^{units} must be >= 6, got 5$"):
         skew_boot(iris, replicates=5, units=5, measure="Partial", seed=0)
-    with pytest.raises(PreconditionError, match="^units must be an integer, got True$"):
+    with pytest.raises(PreconditionError, match=f"^{units} must be an integer, got True$"):
         skew_boot(iris, replicates=5, units=True, measure="Partial", seed=0)
     skew_boot(iris, replicates=2, units=6, measure="Partial", seed=0)
     skew_boot(iris, replicates=np.int64(2), units=np.int64(6), measure="Partial",
@@ -291,16 +293,19 @@ def test_units_constraint_partial(iris):
 
 
 def test_replicates_constraint(iris):
-    with pytest.raises(PreconditionError, match="replicates"):
+    with pytest.raises(PreconditionError, match="^replicates must be >= 1, got 0$"):
         skew_boot(iris, replicates=0, units=11, measure="Mardia", seed=0)
     with pytest.raises(PreconditionError, match="^replicates must be an integer, got 2.5$"):
         skew_boot(iris, replicates=2.5, units=20, measure="Mardia", seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, True])
-def test_seed_must_be_a_nonnegative_integer(iris, seed):
-    with pytest.raises(PreconditionError,
-                       match=f"^seed must be a non-negative integer, got {seed}$"):
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+], ids=["-1", "1.5", "True"])
+def test_seed_must_be_a_nonnegative_integer(iris, seed, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
         skew_boot(iris, replicates=2, units=11, measure="Mardia", seed=seed)
 
 

@@ -117,7 +117,9 @@ def test_bad_columns_exit_2_when_a_hit_exists(tmp_path, cache_all, capsys):
     for bad in ("1-4", "d", "0"):
         assert main(["skew", str(path), "--columns", bad,
                      "--output-dir", str(tmp_path / "out")]) == 2
-    assert "out of range" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("mvskew: column must be from 1 to 3, got 4\n"
+                                       "mvskew: no column named 'd'\n"
+                                       "mvskew: column must be from 1 to 3, got 0\n")
 
 
 def claim_rows(entry: Path, rows: int) -> None:

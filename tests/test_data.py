@@ -9,17 +9,22 @@ from mvskew import (
     DataMatrix,
     PreconditionError,
     SingularityError,
+    block,
+    chi2_sf,
     covariance,
+    directional_skewness,
     fisher_skew,
     inv_sqrt,
     load_csv,
     mardia_skewness,
+    max_skew,
     min_skew,
     partial_skewness,
+    skew_boot,
     standardize,
     third_moment,
 )
-from mvskew.data import as_data_matrix
+from mvskew.data import as_data_matrix, format_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +105,12 @@ def test_load_empty_selection(tmp_path):
 
 
 def test_load_bad_index(iris_path):
-    with pytest.raises(DataError, match="out of range"):
+    with pytest.raises(PreconditionError, match="^column must be from 1 to 5, got 9$"):
         load_csv(iris_path, columns=[9])
 
 
 def test_load_selection_errors_are_preconditions(iris_path):
-    for columns, message in (([0], "column index 0 out of range 1..5"),
+    for columns, message in (([0], "column must be from 1 to 5, got 0"),
                              (["nope"], "no column named 'nope'"),
                              ([], "empty column selection"),
                              ([True, 2], "column must be an integer, got True"),
@@ -229,6 +234,33 @@ def test_data_matrix_rejects_duplicate_names():
 def test_data_matrix_is_immutable(iris):
     with pytest.raises(ValueError):
         iris.values[0, 0] = 99.0
+
+
+def test_select_rows_takes_integer_indices(iris):
+    rows = iris.select_rows([149, 0, 0])
+    assert np.array_equal(rows.values, iris.values[[149, 0, 0]])
+    for indices in (np.array([2, 5], np.uint8), range(2), (np.int64(3), 4)):
+        assert np.array_equal(iris.select_rows(indices).values, iris.values[list(indices)])
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([-1, -2, 0], "row must be from 0 to 149, got -2"),
+    ([0, 150], "row must be from 0 to 149, got 150"),
+    (np.array([3, -1]), "row must be from 0 to 149, got -1"),
+    ([True, False], "row indices must be integers, got dtype bool"),
+    ([0.0, 1.0], "row indices must be integers, got dtype float64"),
+    (["0", "1"], "row indices must be integers, got dtype <U1"),
+    ([0, None], "row indices must be integers, got dtype object"),
+], ids=["negative", "past-the-end", "array", "bool", "float", "str", "object"])
+def test_select_rows_refuses_a_bad_index(iris, indices, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        iris.select_rows(indices)
+
+
+def test_select_rows_of_nothing_is_a_data_error(iris):
+    with pytest.raises(DataError, match=r"^need at least 2 rows and 1 column, got 0x4$") as error:
+        iris.select_rows([])
+    assert not isinstance(error.value, PreconditionError)
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +435,49 @@ def test_standardize_affine_input(seed, iris):
     z = standardize(transformed)
     cov = z.values.T @ z.values / len(z.values)
     assert np.abs(cov - np.eye(4)).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the argument rule: a bad count, index or name is a PreconditionError
+# ---------------------------------------------------------------------------
+
+ARGUMENT_CASES = {
+    "max_skew-iterations": (lambda x, path: max_skew(x, 0, 1), "iterations must be >= 1, got 0"),
+    "max_skew-components": (lambda x, path: max_skew(x, 5, 4),
+                            "components must be from 1 to 3, got 4"),
+    "min_skew-dimension": (lambda x, path: min_skew(x, 2.0),
+                           "dimension must be an integer, got 2.0"),
+    "skew_boot-units": (lambda x, path: skew_boot(x, 2, 4, "Mardia"),
+                        "units for the Mardia measure on 4 variables must be >= 5, got 4"),
+    "skew_boot-replicates": (lambda x, path: skew_boot(x, True, 11, "Mardia"),
+                             "replicates must be an integer, got True"),
+    "skew_boot-seed": (lambda x, path: skew_boot(x, 2, 11, "Mardia", seed=-3),
+                       "seed must be >= 0, got -3"),
+    "skew_boot-measure": (lambda x, path: skew_boot(x, 2, 11, "Kurtosis"),
+                          "measure must be one of ('Directional', 'Partial', 'Mardia'), "
+                          "got 'Kurtosis'"),
+    "format_matrix-precision": (lambda x, path: format_matrix(x.values, 18),
+                                "precision must be from 0 to 17, got 18"),
+    "block-i": (lambda x, path: block(third_moment(x, "raw"), np.int64(5)),
+                "i must be from 1 to 4, got 5"),
+    "third_moment-kind": (lambda x, path: third_moment(x, "bogus"),
+                          "kind must be one of ('raw', 'central', 'standardized'), got 'bogus'"),
+    "chi2_sf-dof": (lambda x, path: chi2_sf(1.0, -2), "dof must be >= 1, got -2"),
+    "chi2_sf-bool-dof": (lambda x, path: chi2_sf(3.0, True), "dof must be an integer, got True"),
+    "directional_skewness-iterations": (lambda x, path: directional_skewness(x, 0.5),
+                                        "iterations must be an integer, got 0.5"),
+    "select_rows": (lambda x, path: x.select_rows(range(-1, 3)),
+                    "row must be from 0 to 149, got -1"),
+    "load_csv-column": (lambda x, path: load_csv(path, columns=[2, 6]),
+                        "column must be from 1 to 5, got 6"),
+    "load_csv-column-bool": (lambda x, path: load_csv(path, columns=[np.True_]),
+                             "column must be an integer, got np.True_"),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_CASES)
+def test_a_bad_argument_is_a_precondition_error(iris, iris_path, case):
+    call, message = ARGUMENT_CASES[case]
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call(iris, iris_path)
+

@@ -12,11 +12,13 @@ from numpy.testing import assert_allclose
 import mvskew
 from mvskew import (
     DataMatrix,
+    PreconditionError,
     SingularityError,
     chi2_sf,
     directional_skewness,
     fisher_skew,
     mardia_skewness,
+    max_skew,
     partial_skewness,
     skew_boot,
     standardize,
@@ -168,6 +170,22 @@ def test_gram_route_memory_stays_in_row_blocks():
     assert peak < 2**20
 
 
+def test_gram_route_holds_two_blocks_at_most():
+    # each 32 x 1024 block takes 256 KB: the block being formed and its cubes
+    # may be live with the previous block's cubes, but not three blocks
+    z = _whitened(np.random.default_rng(4), (1, 1024, 64))
+    block = measures.GRAM_ELEMENTS // 1024 * 1024 * z.itemsize
+    expected = mardia_values(z)
+    tracemalloc.start()
+    try:
+        value = mardia_values(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.tobytes() == expected.tobytes()
+    assert peak < 2.5 * block
+
+
 # ---------------------------------------------------------------------------
 # partial_skewness and its Mori-Rohatgi-Szekely vector
 # ---------------------------------------------------------------------------
@@ -257,6 +275,16 @@ def test_directional_pooled_reflection(iris):
     assert report.value < 1e-12
 
 
+@pytest.mark.parametrize("case", ["iris", "gamma-d8"])
+def test_directional_is_the_squared_first_max_skew(iris, case):
+    # two routes to one search: directional_values on a stack of one, and
+    # max_skew's first component; the bootstrap's observed value is the first
+    data = iris if case == "iris" else np.random.default_rng(8).gamma(2.0, size=(300, 8))
+    for iterations in (5, 50):
+        value = directional_skewness(data, iterations).value
+        assert value == max_skew(data, iterations, 1).skewness[0] ** 2
+
+
 def test_directional_dominates_coordinates(iris):
     report = directional_skewness(iris, iterations=50)
     assert report.value >= (fisher_skew(iris) ** 2).max() - 1e-10
@@ -309,11 +337,11 @@ def test_chi2_sf_paper_anchors():
 
 
 def test_chi2_sf_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^chi-square statistic must be >= 0, got -1.0$"):
         chi2_sf(-1.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="^dof must be >= 1, got 0$"):
         chi2_sf(1.0, 0)
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(PreconditionError, match="^dof must be an integer, got 2.5$"):
         chi2_sf(1.0, 2.5)
 
 

@@ -226,9 +226,9 @@ def test_block_cross_symmetry(iris):
 
 def test_block_out_of_range(iris):
     m3 = third_moment(iris, "raw")
-    with pytest.raises(IndexError):
+    with pytest.raises(PreconditionError, match="^i must be from 1 to 4, got 0$"):
         block(m3, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(PreconditionError, match="^i must be from 1 to 4, got 5$"):
         block(m3, 5)
     # an index is an int or a numpy integer, never a bool
     assert np.array_equal(block(m3, np.int64(2)), block(m3, 2))
@@ -244,7 +244,7 @@ def test_rejects_a_matrix_that_is_not_2d(shape):
 
 
 def test_third_moment_refuses_an_unknown_kind(iris):
-    with pytest.raises(DataError, match=r"kind must be one of .*, got 'bogus'$"):
+    with pytest.raises(PreconditionError, match=r"^kind must be one of .*, got 'bogus'$"):
         third_moment(iris, "bogus")
 
 

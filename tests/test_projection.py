@@ -289,11 +289,11 @@ def test_max_skew_zero_cumulant_cube():
 
 
 def test_max_skew_preconditions(iris):
-    with pytest.raises(PreconditionError, match="components"):
+    with pytest.raises(PreconditionError, match="^components must be from 1 to 3, got 4$"):
         max_skew(iris, iterations=10, components=4)
-    with pytest.raises(PreconditionError, match="components"):
+    with pytest.raises(PreconditionError, match="^components must be from 1 to 3, got 0$"):
         max_skew(iris, iterations=10, components=0)
-    with pytest.raises(PreconditionError, match="iterations"):
+    with pytest.raises(PreconditionError, match="^iterations must be >= 1, got 0$"):
         max_skew(iris, iterations=0, components=1)
     with pytest.raises(PreconditionError, match="^iterations must be an integer, got True$"):
         max_skew(iris, iterations=True, components=1)

@@ -126,9 +126,9 @@ def test_min_skew_never_holds_the_left_singular_vectors():
 
 
 def test_min_skew_dimension_bounds(iris):
-    with pytest.raises(PreconditionError, match="dimension"):
+    with pytest.raises(PreconditionError, match="^dimension must be from 2 to 4, got 1$"):
         min_skew(iris, dimension=1)
-    with pytest.raises(PreconditionError, match="dimension"):
+    with pytest.raises(PreconditionError, match="^dimension must be from 2 to 4, got 5$"):
         min_skew(iris, dimension=5)
     with pytest.raises(PreconditionError, match="^dimension must be an integer, got 2.5$"):
         min_skew(iris, dimension=2.5)

@@ -86,6 +86,25 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports but neither reads nor lists in __all__."""
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {node.value for statement in tree.body if isinstance(statement, ast.Assign)
+                and [getattr(t, "id", None) for t in statement.targets] == ["__all__"]
+                for node in ast.walk(statement.value) if isinstance(node, ast.Constant)}
+    return [name for name in imported if name not in used | exported]
+
+
+def test_no_unused_imports():
+    offenders = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "__init__.py"
+                 for name in _unused_imports(ast.parse(path.read_text()))]
+    assert offenders == []
+
+
 def _environment_reads(tree: ast.AST) -> list[str]:
     """Each use of environ or getenv (as os.environ or imported from os) in
     a module, as source text, unless it reads the key "XDG_CACHE_HOME"."""
