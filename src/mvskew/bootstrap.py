@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import PreconditionError, SingularityError, as_data_matrix, require_count, whiten
 from .measures import mardia_values, partial_values
-from .projection import directional_values, require_directional
+from .projection import directional_values, require_two_variables
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
 
@@ -101,7 +101,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
             f"measure must be one of {MEASURES}, got {measure!r}"
         ) from None
     if measure == "Directional":
-        require_directional(data.d)
+        require_two_variables("the Directional measure", data.d)
     require_count(f"units for the {measure} measure on {data.d} variables", units,
                   data.d + (2 if measure == "Partial" else 1))
     require_count("replicates", replicates, 1)
@@ -147,14 +147,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
                 f"singular after {MAX_REDRAWS} redraws"
             )
 
-    exceed = int(np.count_nonzero(values >= observed))
-    pvalue = (1 + exceed) / (replicates + 1)
-    return BootstrapResult(
-        replicates=values,
-        observed=observed,
-        pvalue=pvalue,
-        histogram=_sturges_histogram(values),
-        measure=measure,
-        seed=seed,
-        redraws=redraws,
-    )
+    pvalue = (1 + int(np.count_nonzero(values >= observed))) / (replicates + 1)
+    return BootstrapResult(replicates=values, observed=observed, pvalue=pvalue,
+                           histogram=_sturges_histogram(values), measure=measure,
+                           seed=seed, redraws=redraws)

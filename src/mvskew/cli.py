@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import skew_boot
+from .bootstrap import MEASURES, skew_boot
 from .data import (DataError, DataMatrix, PreconditionError, SingularityError,
                    format_matrix, load_csv, require_count)
 from .measures import fisher_skew, mardia_skewness, partial_skewness
-from .moments import save_third_moment, third_moment
+from .moments import KINDS, save_third_moment, third_moment
 from .projection import ProjectionBasis, max_skew
 from .symmetrize import min_skew
 
@@ -228,8 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("third", parents=[common],
                        help="third moment matrix of the data")
-    p.add_argument("--kind", choices=["raw", "central", "standardized"],
-                   required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.set_defaults(func=_cmd_third)
 
     p = sub.add_parser("skew", parents=[common],
@@ -251,8 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boot", parents=[common],
                        help="bootstrap p-value for a skewness measure")
-    p.add_argument("--measure", required=True,
-                   help="Directional, Partial, or Mardia")
+    p.add_argument("--measure", required=True, help=", ".join(MEASURES))
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--units", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -25,9 +25,9 @@ and index.
 :func:`format_matrix` writes every value exactly as C's ``"%.{p}g"`` does.
 At p <= 15 a numpy kernel writes the finite nonzero values that print in
 fixed notation (decimal exponent -4 to p - 1), the bulk of any data. Every
-other cell -- exponent form, 0, -0, nan, +-inf, every value at p = 16 or
-17, whose digit integer passes 2^53, and every cell of a slice too small to
-repay the kernel's set-up -- takes the one ``%`` route: one call over them.
+other cell -- exponent form, 0, -0, nan, +-inf, and every value at p = 16
+or 17, whose digit integer passes 2^53 -- takes the one ``%`` route: one
+call over them. A cell's route depends on the cell alone.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ __all__ = [
 
 # cells formatted per slice by format_matrix, which bounds its temporaries
 FORMAT_CELLS = 1 << 15
-
-# a slice of fewer cells is formatted by % alone: below this size the
-# kernel's first use in a process (its table and numpy's dispatch, about
-# 3 ms) costs more than it saves
-KERNEL_CELLS = 1 << 13
 
 # relative eigenvalue floor below which a symmetric matrix counts as singular
 EIG_RTOL = 1e-10
@@ -133,7 +128,8 @@ class DataMatrix:
         if n < 2 or d < 1:
             raise DataError(f"need at least 2 rows and 1 column, got {n}x{d}")
         require_finite(values)
-        names = tuple(str(name) for name in self.names)
+        names = (self.names,) if isinstance(self.names, str) else self.names  # a str: one label
+        names = tuple(str(name) for name in names)
         if len(names) != d:
             raise DataError(f"{len(names)} labels for {d} columns")
         if len(set(names)) != d:
@@ -166,13 +162,17 @@ class DataMatrix:
         return z[0], roots[0]
 
     def select_rows(self, indices: Sequence[int]) -> "DataMatrix":
-        """Return the sub-matrix of the given 0-based row indices: read as
-        one numpy array of integers from 0 to n - 1 (PreconditionError names
-        its dtype or its extreme index). No index at all is a DataError."""
+        """The sub-matrix of the given 0-based row indices: integers from 0 to
+        n - 1, read as one numpy array; PreconditionError names its dtype, a
+        bool among a list's ints or its extreme index. No index is a DataError."""
         rows = np.asarray(indices)
         if rows.size:
             if rows.dtype.kind not in "iu":
                 raise PreconditionError(f"row indices must be integers, got dtype {rows.dtype}")
+            if not isinstance(indices, (np.ndarray, range)):  # numpy reads [0, True] as ints
+                for row in indices:
+                    if isinstance(row, (bool, np.bool_)):
+                        require_count("row", row, 0)
             for row in (rows.min(), rows.max()):
                 require_count("row", row, 0, self.n - 1)
         # an empty list reads as floats
@@ -613,7 +613,7 @@ def _format_rows(part: np.ndarray, precision: int) -> str:
     text = np.zeros((x.size, width + 1), np.uint8)
     record = f"V{width + 1}"
     rest = np.arange(x.size)  # the cells the kernel does not write
-    if 1 <= precision <= 15 and x.size >= KERNEL_CELLS:
+    if 1 <= precision <= 15:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fixed, cells, rows = _fixed_cells(x, precision, width + 1)
         text.view(record)[cells, 0] = rows.view(record)[:, 0]
@@ -638,9 +638,9 @@ def format_matrix(matrix, precision: int) -> str:
     and the digit integer stays below 2^53, so one product, its exact
     rounding error and rint give dtoa's digits. At 16 or 17 digits the
     integer passes 2^53, so those precisions, exponent form, 0, -0, nan and
-    +-inf take the one ``%`` route, a single call over their cells, as does
-    every cell of a slice of fewer than KERNEL_CELLS cells. The matrix is
-    formatted FORMAT_CELLS cells at a time, which bounds the temporaries.
+    +-inf take the one ``%`` route, a single call over their cells. The
+    matrix is formatted FORMAT_CELLS cells at a time, which bounds the
+    temporaries.
     ``precision`` must be an integer from 0 to 17 (PreconditionError).
     """
     require_count("precision", precision, 0, 17)

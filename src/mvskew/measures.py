@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import PreconditionError, SingularityError, as_data_matrix, require_count
 from .moments import third_entries, triple_layout
-from .projection import directional_values, require_directional
+from .projection import directional_values, require_two_variables
 
 __all__ = [
     "SkewnessReport",
@@ -206,7 +206,7 @@ def directional_skewness(data, iterations: int = 50) -> SkewnessReport:
     to the bit. No parametric p-value.
     """
     data = as_data_matrix(data)
-    require_directional(data.d)
+    require_two_variables("the Directional measure", data.d)
     require_count("iterations", iterations, 1)
     value = directional_values(data.whitening[0][None], iterations)[0]
     return SkewnessReport(measure="directional", value=float(value))

@@ -16,6 +16,8 @@ max_skew searches a stack of one cumulant per component, the Directional
 bootstrap a block of resamples at once. Later directions repeat the search
 in the orthogonal complement B of those found (deflation), on
 transform_third(K, B'), which keeps the projections exactly uncorrelated.
+require_two_variables is the one rule that a set has 2 variables or more:
+max_skew, min_skew, directional_skewness and the Directional skew_boot call it.
 """
 
 from __future__ import annotations
@@ -178,11 +180,11 @@ def _search(cumulant: np.ndarray,
             (~running).sum(axis=1), best)
 
 
-def require_directional(d: int) -> None:
-    """Raise PreconditionError unless there are the 2 variables the
-    Directional measure needs to search a direction in."""
+def require_two_variables(what: str, d: int) -> None:
+    """Raise PreconditionError unless ``what`` is given at least 2 variables:
+    the one two-variable rule, which each caller checks first."""
     if d < 2:
-        raise PreconditionError(f"the Directional measure needs at least 2 variables, got {d}")
+        raise PreconditionError(f"{what} needs at least 2 variables, got {d}")
 
 
 def directional_values(z: np.ndarray, iterations: int) -> np.ndarray:
@@ -214,6 +216,7 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
         each attained skewness is positive.
     """
     data = as_data_matrix(data)
+    require_two_variables("max_skew", data.d)
     require_count("iterations", iterations, 1)
     require_count("components", components, 1, data.d - 1)
     cumulant = reduced = third_moment(data, "standardized")

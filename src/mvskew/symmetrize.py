@@ -17,7 +17,7 @@ import numpy as np
 from .data import DataError, as_data_matrix, require_count
 from .measures import SkewnessReport, mardia_skewness
 from .moments import third_moment
-from .projection import ProjectionBasis
+from .projection import ProjectionBasis, require_two_variables
 
 __all__ = ["min_skew", "residual_skewness"]
 
@@ -43,6 +43,7 @@ def min_skew(data, dimension: int) -> ProjectionBasis:
         to the zero-mean, identity-covariance ``projected`` ("Projections").
     """
     data = as_data_matrix(data)
+    require_two_variables("min_skew", data.d)
     require_count("dimension", dimension, 2, data.d)
     cumulant = third_moment(data, "standardized").values
     _, singular_values, vt = np.linalg.svd(cumulant, full_matrices=False)

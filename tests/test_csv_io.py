@@ -94,14 +94,12 @@ CELLS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(picks=st.data(), d=st.integers(1, 4), n=st.integers(1, 12),
-       precision=st.integers(1, 17), slice_cells=st.integers(1, 9),
-       kernel_cells=st.sampled_from([0, 5, data.KERNEL_CELLS]))
+       precision=st.integers(1, 17), slice_cells=st.integers(1, 9))
 def test_format_matrix_is_the_percent_format_of_every_double(picks, d, n, precision,
-                                                             slice_cells, kernel_cells):
+                                                             slice_cells):
     values = np.array(picks.draw(st.lists(CELLS, min_size=n * d, max_size=n * d)))
     values = values.reshape(n, d) * picks.draw(st.sampled_from([1.0, -1.0]))
-    with (mock.patch.object(data, "FORMAT_CELLS", slice_cells),
-          mock.patch.object(data, "KERNEL_CELLS", kernel_cells)):
+    with mock.patch.object(data, "FORMAT_CELLS", slice_cells):
         assert format_matrix(values, precision) == per_cell(values, precision)
         assert format_matrix(values[0], precision) == per_cell(values[0], precision)
 
@@ -121,8 +119,15 @@ def test_row_counts_around_the_slice_size(offset):
 def test_exact_ties_round_half_even(value, precision, text):
     # 2.5, 1.5, 0.125 and 0.375 are exact doubles; 0.15 lies below its decimal
     assert f"%.{precision}g" % value == text
-    with mock.patch.object(data, "KERNEL_CELLS", 0):
-        assert format_matrix([value, -value], precision) == f"{text},-{text}\n"
+    assert format_matrix([value, -value], precision) == f"{text},-{text}\n"
+
+
+@pytest.mark.parametrize("precision, calls", [(1, 1), (15, 1), (16, 0), (17, 0)])
+def test_the_kernel_route_depends_on_the_precision_alone(precision, calls):
+    # one cell is as much the kernel's as a million: no slice is too small
+    with mock.patch.object(data, "_fixed_cells", wraps=data._fixed_cells) as kernel:
+        assert format_matrix([[0.5]], precision) == f"%.{precision}g\n" % 0.5
+    assert kernel.call_count == calls
 
 
 def test_format_matrix_memory_is_one_slice():

@@ -231,6 +231,12 @@ def test_data_matrix_rejects_duplicate_names():
         DataMatrix(np.eye(2), ("a", "a"))
 
 
+def test_data_matrix_reads_a_bare_string_as_one_label():
+    assert DataMatrix(np.eye(2)[:, :1], "income").names == ("income",)
+    with pytest.raises(DataError, match=r"^1 labels for 2 columns$"):
+        DataMatrix(np.eye(2), "xy")
+
+
 def test_data_matrix_is_immutable(iris):
     with pytest.raises(ValueError):
         iris.values[0, 0] = 99.0
@@ -468,6 +474,12 @@ ARGUMENT_CASES = {
                                         "iterations must be an integer, got 0.5"),
     "select_rows": (lambda x, path: x.select_rows(range(-1, 3)),
                     "row must be from 0 to 149, got -1"),
+    "select_rows-bool-in-list": (lambda x, path: x.select_rows([0, True]),
+                                 "row must be an integer, got True"),
+    "max_skew-one-variable": (lambda x, path: max_skew(x.values[:50, :1], 5, 1),
+                              "max_skew needs at least 2 variables, got 1"),
+    "min_skew-one-variable": (lambda x, path: min_skew(x.values[:50, :1], 2),
+                              "min_skew needs at least 2 variables, got 1"),
     "load_csv-column": (lambda x, path: load_csv(path, columns=[2, 6]),
                         "column must be from 1 to 5, got 6"),
     "load_csv-column-bool": (lambda x, path: load_csv(path, columns=[np.True_]),

@@ -1,13 +1,15 @@
 """Repository-level checks: the demos run, cached layouts are read-only,
 modules share no private names, the public surface is the pinned list below,
-every function the benchmark traces exists, and the benchmark's small job
-scripts pass its oracle."""
+every function the benchmark traces and every name the docs give exists,
+and the benchmark's small job scripts pass its oracle."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -163,6 +165,36 @@ def test_star_import_binds_exactly_the_public_names():
 def test_submodule_all_names_exist(module):
     module = importlib.import_module(f"mvskew.{module}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _upper_names(text: str) -> set[str]:
+    """The upper-case words with an underscore in a text, e.g. CACHE_BYTES."""
+    return set(re.findall(r"\b[A-Z][A-Z0-9]*_[A-Z0-9_]*\b", text))
+
+
+def test_names_in_the_docs_exist():
+    # a name the README, a docstring or a comment gives must exist in some
+    # module, so a deleted name cannot live on in the prose
+    modules = [mvskew, *(importlib.import_module(f"mvskew.{path.stem}")
+                         for path in SRC.glob("[!_]*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    backticked = " ".join(re.findall(r"`+[^`]+`+", readme))
+    named = {("README.md", name) for name in _upper_names(backticked)}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        prose = [ast.get_docstring(node) or "" for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        prose += re.findall(r"#.*$", source, re.MULTILINE)
+        named |= {(path.name, name) for name in _upper_names(" ".join(prose))}
+    missing = [f"{where}: {name}" for where, name in sorted(named)
+               if name not in ("XDG_CACHE_HOME", "GEMM_MULTITHREAD_THRESHOLD")
+               and not any(hasattr(module, name) for module in modules)]
+    dotted = re.findall(r"\bmvskew(?:\.[A-Za-z_]\w*)+", readme)
+    assert dotted
+    missing += [f"README.md: {name}" for name in dotted
+                if functools.reduce(lambda owner, part: getattr(owner, part, None),
+                                    name.split(".")[1:], mvskew) is None]
+    assert missing == []
 
 
 def _bench_targets() -> dict:
