@@ -15,9 +15,7 @@ is redrawn from the same counter steps under the next attempt's key, for up
 to MAX_REDRAWS attempts. So a block of max(1, BLOCK_ELEMENTS // (units *
 d^2)) replicates is one draw and no row depends on the block size.
 A block's resamples are whitened and measured as one stack. Every
-value is bit-identical to the measure on its resample alone, except a
-Directional resample whose search stops a restart that another resample in
-its block still runs.
+value is bit-identical to the measure on its resample alone.
 """
 
 from __future__ import annotations

@@ -27,6 +27,8 @@ from .symmetrize import min_skew
 
 __all__ = ["main"]
 
+SKEW_MEASURES = ("fisher", "mardia", "partial")
+
 
 def _parse_selection(spec: str):
     """Parse a --columns value: names, 1-based indices, and ranges like 1-4."""
@@ -133,8 +135,7 @@ def _cmd_third(args, data: DataMatrix) -> None:
 
 
 def _cmd_skew(args, data: DataMatrix) -> None:
-    wanted = ["fisher", "mardia", "partial"] if args.measure == "all" else [args.measure]
-    for name in wanted:
+    for name in SKEW_MEASURES if args.measure == "all" else (args.measure,):
         if name == "fisher":
             values = fisher_skew(data)
             items = {"measure": "fisher",
@@ -233,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skew", parents=[common],
                        help="skewness measures and parametric p-values")
-    p.add_argument("--measure", choices=["fisher", "mardia", "partial", "all"],
+    p.add_argument("--measure", choices=[*SKEW_MEASURES, "all"],
                    default="all")
     p.set_defaults(func=_cmd_skew)
 

@@ -132,9 +132,7 @@ class DataMatrix:
         names = tuple(str(name) for name in names)
         if len(names) != d:
             raise DataError(f"{len(names)} labels for {d} columns")
-        if len(set(names)) != d:
-            dupes = sorted({x for x in names if names.count(x) > 1})
-            raise DataError(f"duplicate column labels: {', '.join(dupes)}")
+        _require_distinct(names)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", names)
@@ -270,6 +268,13 @@ def _raise_fault(path: Path, header: bool, keep: list[int] | None) -> None:
                 )
 
 
+def _require_distinct(names: tuple[str, ...], where: str = "") -> None:
+    """Raise DataError, prefixed by ``where``, naming each label given twice."""
+    dupes = sorted({x for x in names if names.count(x) > 1})
+    if dupes:
+        raise DataError(f"{where}duplicate column labels: {', '.join(dupes)}")
+
+
 def _resolve_columns(columns, names: list[str]) -> list[int]:
     """Map labels / 1-based indices to 0-based positions; a bare str is one label."""
     out = []
@@ -278,10 +283,11 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
             require_count("column", col, 1, len(names))
             out.append(int(col) - 1)
         else:
-            try:
-                out.append(names.index(str(col)))
-            except ValueError:
-                raise PreconditionError(f"no column named {col!r}") from None
+            found = [j for j, name in enumerate(names) if name == col]
+            if len(found) != 1:
+                raise PreconditionError(f"column label {col!r} names {len(found)} columns"
+                                        if found else f"no column named {col!r}")
+            out.append(found[0])
     return out
 
 
@@ -425,8 +431,9 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     columns : str, int or sequence of str or int, optional
         Columns to keep, by label or by *1-based* position (matching the
         command-line ``--columns 1-4`` syntax); a position must be an int or
-        a numpy integer, not a bool, and a bare str is one label. Default:
-        the numeric columns.
+        a numpy integer, not a bool, and a bare str is one label, of one
+        column only (PreconditionError). Default: the numeric columns. Only
+        the columns kept need distinct labels (DataError).
     header : bool, optional
         Whether the first row is a header. Default auto-detects: the first
         row is treated as a header when any of its cells is not a number.
@@ -452,9 +459,6 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
         width = len(first)
         names = ([cell.strip() for cell in first] if header
                  else [f"x{j + 1}" for j in range(width)])
-        if len(set(names)) != width:
-            dupes = sorted({x for x in names if names.count(x) > 1})
-            raise DataError(f"{path}: duplicate column labels: {', '.join(dupes)}")
         if sample is None:
             raise DataError(f"{path}: no data rows")
 
@@ -465,6 +469,7 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
             if not keep:
                 raise PreconditionError("empty column selection")
         kept = tuple(names[j] for j in keep)
+        _require_distinct(kept, f"{path}: ")
         cache = _cache_entry(
             path, f"header={header} columns={'auto' if columns is None else keep}")
         data = _cache_load(cache[0], kept) if cache else None
@@ -677,13 +682,13 @@ def covariance(data) -> np.ndarray:
 def inv_sqrt(matrix) -> np.ndarray:
     """Inverse of the symmetric positive definite square root of a matrix.
 
-    The matrix must be square, finite and symmetric to 1e-12 relative
-    (DataError, the package's one symmetry check of a covariance) and pass the
-    singularity test of :func:`whiten` (SingularityError). The result R is
-    symmetric, positive definite, and satisfies R @ S @ R = I to 1e-10.
+    The matrix must be square, non-empty, finite and symmetric to 1e-12
+    relative (DataError, the package's one symmetry check of a covariance) and
+    pass the singularity test of :func:`whiten` (SingularityError). The result
+    R is symmetric, positive definite, and satisfies R @ S @ R = I to 1e-10.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not matrix.size:
         raise DataError(f"expected a square matrix, got shape {matrix.shape}")
     require_finite(matrix)
     if np.abs(matrix - matrix.T).max() > 1e-12 * np.abs(matrix).max():

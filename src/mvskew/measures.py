@@ -85,7 +85,7 @@ def chi2_sf(x: float, dof: int) -> float:
     they are added with ``math.fsum``. ``x`` must be >= 0 and ``dof`` an
     integer >= 1 (PreconditionError).
     """
-    if x < 0:
+    if not x >= 0:  # NaN too
         raise PreconditionError(f"chi-square statistic must be >= 0, got {x}")
     require_count("dof", dof, 1)
     y = x / 2.0

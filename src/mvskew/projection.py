@@ -102,13 +102,10 @@ def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
 
 def _pairs(c: np.ndarray) -> np.ndarray:
     """The (b, m(m+1)/2, R) stack whose column r of slice k holds the distinct
-    products c_i c_j, i <= j, of c_kr."""
-    b, m, r = c.shape
-    pairs = np.empty((b, m * (m + 1) // 2, r))
-    start = 0
-    for i in range(m):  # rows (i, i..m-1), written in place: one allocation
-        np.multiply(c[:, i:i + 1], c[:, i:], out=pairs[:, start:start + m - i])
-        start += m - i
+    products c_i c_j, i <= j, of c_kr, in the order of pair_layout(m)."""
+    first, second, _ = pair_layout(c.shape[1])
+    pairs = np.take(c, first, axis=1)
+    pairs *= np.take(c, second, axis=1)
     return pairs
 
 
@@ -151,26 +148,24 @@ def _search(cumulant: np.ndarray,
     """Most-skewed unit direction under each whitened third cumulant of a
     stack (b, m^2, m): the (b, m) directions, signed so that their skewness
     is positive, those b skewness values, the number of restarts, and per
-    cumulant how many converged and which restart won. A restart column
-    runs while any cumulant needs it and a stopped entry keeps its value, so
-    each result is the one its cumulant gets alone, up to BLAS and numpy
-    rounding a column differently at another width.
+    cumulant how many converged and which restart won. Every iteration steps
+    every restart of every cumulant until none runs, and a stopped entry
+    keeps its value, so each result is, to the bit, the one its cumulant
+    gets alone.
     """
     c = _restart_directions(cumulant)
     distinct = _distinct_rows(cumulant)
     running = np.ones((c.shape[0], c.shape[2]), dtype=bool)
     for _ in range(iterations):
-        columns = np.flatnonzero(running.any(axis=0))
-        if not columns.size:
+        if not running.any():
             break
-        current = c[:, :, columns]
-        step = _step(distinct, current)
+        step = _step(distinct, c)
         norm = np.linalg.norm(step, axis=1)
         # zero step: c is stationary (exactly symmetric data), keep it, stop
-        moving = running[:, columns] & (norm > 0.0)
-        step = np.divide(step, norm[:, None], out=current.copy(), where=moving[:, None])
-        c[:, :, columns] = step
-        running[:, columns] = moving & ~(np.linalg.norm(step - current, axis=1) < CONVERGENCE_TOL)
+        moving = running & (norm > 0.0)
+        step = np.divide(step, norm[:, None], out=c.copy(), where=moving[:, None])
+        running = moving & ~(np.linalg.norm(step - c, axis=1) < CONVERGENCE_TOL)
+        c = step
     gamma = np.einsum("bhr,bhr->br", c, _step(distinct, c))
     # deterministic reduction: larger |skewness| wins, the earliest restart
     # breaks ties
@@ -190,7 +185,7 @@ def require_two_variables(what: str, d: int) -> None:
 def directional_values(z: np.ndarray, iterations: int) -> np.ndarray:
     """Directional skewness of each whitened row set in a stack (b, n, d):
     ``directional_skewness(x, iterations).value`` for the whitened rows of x,
-    to the bit while the sets run the same restarts (see _search). Squares by
+    to the bit (see _search). Squares by
     C pow like that scalar ``** 2``; an array's ``** 2`` (x * x) can round apart."""
     return np.float_power(_search(moment_stack(z), iterations)[1], 2)
 

@@ -90,6 +90,22 @@ def test_load_duplicate_labels(tmp_path):
     path.write_text("a,a\n1,2\n3,4\n")
     with pytest.raises(DataError, match="duplicate"):
         load_csv(path)
+    path.write_text("a,a,b\n1,2,3\n4,5,6\n")
+    with pytest.raises(PreconditionError, match="^column label 'a' names 2 columns$"):
+        load_csv(path, columns=["a"])
+    with pytest.raises(DataError, match="duplicate column labels: a$"):
+        load_csv(path, columns=[1, 2])
+
+
+@pytest.mark.parametrize("text,columns,kept", [
+    ("a,b,note,note\n1,2,x,y\n3,5,z,w\n", None, ("a", "b")),
+    ("a,b,note,note\n1,2,x,y\n3,5,z,w\n", ["a", "b"], ("a", "b")),
+    ("a,a,b\n1,2,3\n4,5,7\n", ["b"], ("b",)),
+])
+def test_load_unkept_labels_may_repeat(tmp_path, text, columns, kept):
+    path = tmp_path / "dup.csv"
+    path.write_text(text)
+    assert load_csv(path, columns=columns).names == kept
 
 
 def test_load_missing_file(tmp_path):
@@ -349,7 +365,7 @@ def test_inv_sqrt_random_spd(seed):
     assert np.linalg.eigvalsh(root)[0] > 0
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), (0, 0)])
 def test_inv_sqrt_refuses_a_matrix_that_is_not_square(shape):
     with pytest.raises(DataError, match=re.escape(f"expected a square matrix, got shape {shape}")):
         inv_sqrt(np.ones(shape))

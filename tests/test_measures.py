@@ -339,6 +339,8 @@ def test_chi2_sf_paper_anchors():
 def test_chi2_sf_rejects_bad_input():
     with pytest.raises(PreconditionError, match="^chi-square statistic must be >= 0, got -1.0$"):
         chi2_sf(-1.0, 4)
+    with pytest.raises(PreconditionError, match="^chi-square statistic must be >= 0, got nan$"):
+        chi2_sf(float("nan"), 4)
     with pytest.raises(PreconditionError, match="^dof must be >= 1, got 0$"):
         chi2_sf(1.0, 0)
     with pytest.raises(PreconditionError, match="^dof must be an integer, got 2.5$"):

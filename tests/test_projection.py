@@ -10,6 +10,7 @@ from mvskew import (
     third_moment,
 )
 from mvskew import projection
+from mvskew.data import whiten
 from mvskew.moments import moment_stack
 
 
@@ -303,23 +304,41 @@ def test_max_skew_preconditions(iris):
     assert max_skew(iris, iterations=np.int64(5), components=np.int32(1)).restarts == (24,)
 
 
-@pytest.mark.parametrize("iterations", [5, 50])
-def test_stacked_search_is_each_slice_alone(iterations):
+def small_sets():
     # the zero-cumulant cube stops every restart at step 1; at 50 iterations
-    # the gamma-mixed sets stop 17 and 6 of their 17, so a restart column the
-    # stack still runs has stopped in some slices
+    # the gamma-mixed sets stop 17 and 6 of their 17, so a restart the stack
+    # still steps has stopped in some slices
     cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
     sets = [cube, gamma_mixed(1, 8, 3), gamma_mixed(2, 8, 3)]
-    stack = moment_stack(np.stack([standardize(x).values for x in sets]))
-    directions, values, restarts, converged, winners = projection._search(stack, iterations)
-    assert restarts == 3 * 3 + 8
-    if iterations == 50:
-        assert converged.tolist() == [17, 17, 6]
-    for k in range(len(sets)):
+    return moment_stack(np.stack([standardize(x).values for x in sets]))
+
+
+def seed_125_sets():
+    # six 100 x 12 sets whitened as a stack: over 200 iterations they stop
+    # restarts at different steps, and slice 4's winner hangs on the last bits
+    sets = []
+    for k in range(6):
+        rng = np.random.default_rng([125, k])
+        sets.append(rng.gamma(1.5, size=(100, 12)) @ rng.standard_normal((12, 12)))
+    return moment_stack(whiten(np.stack(sets))[0])
+
+
+@pytest.mark.parametrize("stack,iterations,restarts,converged", [
+    (small_sets, 5, 3 * 3 + 8, None),
+    (small_sets, 50, 3 * 3 + 8, [17, 17, 6]),
+    (seed_125_sets, 200, 4 * 12 + 8, [55, 53, 48, 56, 56, 53]),
+], ids=["5", "50", "200"])
+def test_stacked_search_is_each_slice_alone(stack, iterations, restarts, converged):
+    stack = stack()
+    directions, values, tried, settled, winners = projection._search(stack, iterations)
+    assert tried == restarts
+    if converged is not None:
+        assert settled.tolist() == converged
+    for k in range(len(stack)):
         alone = projection._search(stack[k:k + 1], iterations)
         assert directions[k].tobytes() == alone[0][0].tobytes()
         assert values[k:k + 1].tobytes() == alone[1].tobytes()
-        assert converged[k] == alone[3][0]
+        assert settled[k] == alone[3][0]
         assert winners[k] == alone[4][0]
 
 
@@ -330,7 +349,7 @@ def test_search_of_an_empty_stack_is_empty():
 
 
 def test_max_skew_search_column_work_is_pinned(monkeypatch):
-    # a restart column is stepped only while it runs: compacting, not masking
+    # every restart column is stepped while any runs: masking, not compacting
     widths = []
 
     def counted(c, _real=projection._pairs):
@@ -339,7 +358,7 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(projection, "_pairs", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
-    assert (len(widths), sum(widths)) == (128, 2739)
+    assert (len(widths), sum(widths)) == (128, 3584)
 
 
 @pytest.mark.parametrize("m,r", [(3, 5), (8, 1), (8, 910), (8, 2000), (31, 17), (31, 969)])

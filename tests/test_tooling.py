@@ -1,7 +1,8 @@
-"""Repository-level checks: the demos run, cached layouts are read-only,
-modules share no private names, the public surface is the pinned list below,
-every function the benchmark traces and every name the docs give exists,
-and the benchmark's small job scripts pass its oracle."""
+"""Repository-level checks: the demos run, index layouts are built only in
+moments.py and cached read-only, modules share no private names, the public
+surface is the pinned list below, every function the benchmark traces and
+every name the docs give exists, and the benchmark's small job scripts pass
+its oracle."""
 
 import ast
 import functools
@@ -75,6 +76,16 @@ def test_cached_layouts_are_read_only(d):
               *mvskew.data._digit_table())
     assert len(arrays) == 9
     assert [array.flags.writeable for array in arrays] == [False] * 9
+
+
+def test_index_layouts_are_built_only_in_moments():
+    # pair and triple orders come from pair_layout and triple_layout alone
+    builders = {"triu_indices", "indices"}
+    homes = {path.name: {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute) and node.attr in builders
+                         and getattr(node.value, "id", None) == "np"}
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in homes.items() if found} == {"moments.py": builders}
 
 
 def test_no_module_imports_a_private_name_from_another():
