@@ -306,8 +306,8 @@ def test_max_skew_preconditions(iris):
 
 def small_sets():
     # the zero-cumulant cube stops every restart at step 1; at 50 iterations
-    # the gamma-mixed sets stop 17 and 6 of their 17, so a restart the stack
-    # still steps has stopped in some slices
+    # the gamma-mixed sets stop 16 and 6 of their 16 survivors, so a restart
+    # the stack still steps has stopped in some slices
     cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
     sets = [cube, gamma_mixed(1, 8, 3), gamma_mixed(2, 8, 3)]
     return moment_stack(np.stack([standardize(x).values for x in sets]))
@@ -325,8 +325,8 @@ def seed_125_sets():
 
 @pytest.mark.parametrize("stack,iterations,restarts,converged", [
     (small_sets, 5, 3 * 3 + 8, None),
-    (small_sets, 50, 3 * 3 + 8, [17, 17, 6]),
-    (seed_125_sets, 200, 4 * 12 + 8, [55, 53, 48, 56, 56, 53]),
+    (small_sets, 50, 3 * 3 + 8, [17, 16, 6]),
+    (seed_125_sets, 200, 4 * 12 + 8, [16, 16, 16, 16, 16, 16]),
 ], ids=["5", "50", "200"])
 def test_stacked_search_is_each_slice_alone(stack, iterations, restarts, converged):
     stack = stack()
@@ -349,7 +349,8 @@ def test_search_of_an_empty_stack_is_empty():
 
 
 def test_max_skew_search_column_work_is_pinned(monkeypatch):
-    # every restart column is stepped while any runs: masking, not compacting
+    # every restart column is stepped for SCREEN_STEPS steps, then the 16
+    # survivors while any runs: masking, not compacting
     widths = []
 
     def counted(c, _real=projection._pairs):
@@ -358,7 +359,53 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(projection, "_pairs", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
-    assert (len(widths), sum(widths)) == (128, 3584)
+    assert (len(widths), sum(widths)) == (122, 2096)
+
+
+@pytest.mark.parametrize("d", [32, 64])
+@pytest.mark.parametrize("law", ["gamma", "lognormal", "exponential"])
+def test_screened_search_attains_the_unscreened_one(law, d, monkeypatch):
+    rng = np.random.default_rng([20240611, d])
+    sources = {"gamma": lambda: rng.gamma(2.0, size=(300, d)),
+               "lognormal": lambda: rng.lognormal(0.0, 0.5, size=(300, d)),
+               "exponential": lambda: rng.exponential(size=(300, d))}[law]()
+    values = sources @ rng.standard_normal((d, d)) + 0.1 * rng.standard_normal((300, d))
+    screened = max_skew(values, iterations=200, components=3).skewness
+    monkeypatch.setattr(projection, "SURVIVORS", 4 * d + 8)
+    full = max_skew(values, iterations=200, components=3).skewness
+    assert np.abs(screened - full).max() <= 1e-9 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("iterations", [1, 2, projection.SCREEN_STEPS])
+def test_search_within_the_screen_steps_is_unscreened(iterations, monkeypatch):
+    stack = seed_125_sets()
+    screened = projection._search(stack, iterations)
+    monkeypatch.setattr(projection, "SURVIVORS", 4 * 12 + 8)
+    full = projection._search(stack, iterations)
+    for a, b in zip(screened, full):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_slice_stopped_before_the_cut_still_passes_it(monkeypatch):
+    # every restart of the zero-cumulant cube stops at step 1; alone, it is
+    # still cut to 16 at step 4, as in a stack where another slice runs
+    widths = []
+
+    def counted(c, _real=projection._pairs):
+        widths.append(c.shape[-1])
+        return _real(c)
+
+    stack = small_sets()
+    monkeypatch.setattr(projection, "_pairs", counted)
+    alone = projection._search(stack[:1], 50)
+    assert widths == [17, 17, projection.SURVIVORS]
+    widths.clear()
+    projection._search(stack[:1], projection.SCREEN_STEPS)
+    assert widths == [17, 17]
+    stacked = projection._search(stack[:2], 50)
+    assert stacked[0][0].tobytes() == alone[0][0].tobytes()
+    assert stacked[1][:1].tobytes() == alone[1].tobytes()
+    assert (stacked[3][0], stacked[4][0]) == (alone[3][0], alone[4][0]) == (17, 0)
 
 
 @pytest.mark.parametrize("m,r", [(3, 5), (8, 1), (8, 910), (8, 2000), (31, 17), (31, 969)])
