@@ -56,14 +56,9 @@ def _parse_selection(spec: str):
 
 def _parse_rows(spec: str, n: int):
     rows = _parse_selection(spec)
-    indices = []
     for r in rows:
-        if not isinstance(r, int):
-            raise PreconditionError(f"row selection must be numeric, got {r!r}")
-        if not 1 <= r <= n:
-            raise PreconditionError(f"row {r} out of range 1..{n}")
-        indices.append(r - 1)
-    return indices
+        require_count("row", r, 1, n)
+    return [r - 1 for r in rows]
 
 
 def _load(args) -> DataMatrix:

@@ -15,8 +15,8 @@ the kernel keeps the d(d+1)(d+2)/6 distinct entries m[i,j,h], i <= j <= h;
 a consumer that needs the matrix fills every slot from its sorted triple,
 so a computed moment is exactly symmetric by construction. The finiteness
 and symmetry checks run only in the ThirdMomentMatrix constructor, which
-matrices from elsewhere pass through (load_third_moment, transform_third,
-cumulant_from_moments); the stacked routes never do.
+third_moment and matrices from elsewhere pass through (load_third_moment,
+transform_third, cumulant_from_moments); the stacked routes never do.
 """
 
 from __future__ import annotations
@@ -72,6 +72,15 @@ def pair_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, slot.ravel()
 
 
+def pair_products(a: np.ndarray, axis: int) -> np.ndarray:
+    """The d(d+1)/2 products a_i a_j, i <= j, of the d entries along ``axis``
+    of a, in the order of pair_layout(d), along that axis."""
+    first, second, _ = pair_layout(a.shape[axis])
+    pairs = np.take(a, first, axis=axis)
+    pairs *= np.take(a, second, axis=axis)
+    return pairs
+
+
 @functools.cache
 def triple_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The d(d+1)(d+2)/6 sorted index triples (i, j, h), i <= j <= h, in
@@ -99,17 +108,14 @@ def third_entries(rows: np.ndarray) -> np.ndarray:
     (i, j, h) is then the sum in row (i, j), column h, over n.
     """
     n, d = rows.shape[-2:]
-    first, second, _ = pair_layout(d)
     size = max(64, 2**14 // (d * d))
     sums = 0.0
     for start in range(0, n, size):
         block = rows[..., start:start + size, :]
         columns = np.ascontiguousarray(np.swapaxes(block, -1, -2))
-        pairs = np.take(columns, first, axis=-2)
-        pairs *= np.take(columns, second, axis=-2)
-        sums = sums + pairs @ block
+        sums = sums + pair_products(columns, -2) @ block
     # an explicit length: a stack of no row sets has no -1 to infer
-    flat = sums.reshape(sums.shape[:-2] + (first.size * d,))
+    flat = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * d,))
     return np.take(flat, triple_layout(d)[0], axis=-1) / n
 
 

@@ -6,11 +6,11 @@ needs K alone. Each direction is found by tensor power iteration,
 c <- normalize(K' (c (x) c)), from the eigenvectors of the RESTART_BLOCKS
 cumulant blocks of largest Frobenius norm (every block when m <= 4) plus
 fixed-seed random unit vectors: min(m, 4) m + 8 restarts in m dimensions,
-136 at m = 32. The restarts of a stack of cumulants run as one batch: an
-iteration is one stacked product K' [c_r (x) c_r]_r, and a column freezes
-once its step is within CONVERGENCE_TOL or is zero. After SCREEN_STEPS
-steps only the SURVIVORS restarts of largest |skewness| per cumulant go on,
-so past the cut an iteration costs 16 columns, not about 4m.
+136 at m = 32. The search is two climbs around one cut: the restarts of a
+stack of cumulants climb SCREEN_STEPS steps as one batch, then only the
+SURVIVORS of largest |skewness| per cumulant climb on, 16 columns a step,
+not about 4m. A step is one stacked product K' [c_r (x) c_r]_r, and a
+column freezes once its step is within CONVERGENCE_TOL or is zero.
 The product is taken over the distinct products c_i c_j, i <= j, in column
 groups small enough that BLAS runs each on one thread, so the search's bits
 do not depend on the BLAS thread count.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, PreconditionError, as_data_matrix, require_count
-from .moments import moment_stack, pair_layout, third_moment, transform_third
+from .moments import moment_stack, pair_layout, pair_products, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
 
@@ -111,19 +111,10 @@ def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
     return np.concatenate([eigvecs.transpose(0, 2, 1, 3).reshape(b, m, kept * m), random], axis=2)
 
 
-def _pairs(c: np.ndarray) -> np.ndarray:
-    """The (b, m(m+1)/2, R) stack whose column r of slice k holds the distinct
-    products c_i c_j, i <= j, of c_kr, in the order of pair_layout(m)."""
-    first, second, _ = pair_layout(c.shape[1])
-    pairs = np.take(c, first, axis=1)
-    pairs *= np.take(c, second, axis=1)
-    return pairs
-
-
 def _distinct_rows(cumulant: np.ndarray) -> np.ndarray:
-    """The (b, m, m(m+1)/2) stack D with D @ _pairs(c) = K' (c (x) c) for each
-    cumulant K of a stack (b, m^2, m): the rows (i, j), i <= j, of K,
-    transposed, those with i < j doubled (exactly) for their twins (j, i)."""
+    """The (b, m, m(m+1)/2) stack D with D @ pair_products(c, 1) = K' (c (x) c)
+    for each cumulant K of a stack (b, m^2, m): the rows (i, j), i <= j, of
+    K, transposed, those with i < j doubled (exactly) for their twins (j, i)."""
     m = cumulant.shape[2]
     first, second, _ = pair_layout(m)
     return np.swapaxes(cumulant[:, first * m + second]
@@ -131,16 +122,16 @@ def _distinct_rows(cumulant: np.ndarray) -> np.ndarray:
 
 
 def _step(distinct: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """distinct @ _pairs(c), for distinct = _distinct_rows(K): K' (c_r (x) c_r)
-    for every column c_r of each slice.
+    """distinct @ pair_products(c, 1), for distinct = _distinct_rows(K):
+    K' (c_r (x) c_r) for every column c_r of each slice.
 
     The columns are multiplied in groups of at most SERIAL_PRODUCT
     multiply-adds, all whole groups in one batched matmul and the rest in
     one more, so BLAS runs every product on one thread and the bits do not
-    depend on the thread count. That holds for m <= 80; beyond, one column
-    alone exceeds SERIAL_PRODUCT.
+    depend on the thread count. Past m = 80 one column alone exceeds
+    SERIAL_PRODUCT; at m = 96 those too kept their bits (tests/test_cli.py).
     """
-    pairs = _pairs(c)
+    pairs = pair_products(c, 1)
     (b, m, p), r = distinct.shape, c.shape[2]
     width = max(1, SERIAL_PRODUCT // (m * p))
     whole = r - r % width
@@ -154,6 +145,26 @@ def _step(distinct: np.ndarray, c: np.ndarray) -> np.ndarray:
     return step
 
 
+def _climb(distinct: np.ndarray, c: np.ndarray, running: np.ndarray, steps: int,
+           step: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``steps`` power steps c <- normalize(K' (c (x) c)) of the running
+    columns of c (b, m, R), while any runs, the first from the product
+    ``step`` if given: the new c and which columns still run. A column
+    stops, keeping its value, once its step is within CONVERGENCE_TOL or is zero."""
+    for _ in range(steps):
+        if not running.any():
+            break
+        if step is None:
+            step = _step(distinct, c)
+        norm = np.linalg.norm(step, axis=1)
+        # zero step: c is stationary (exactly symmetric data), keep it, stop
+        moving = running & (norm > 0.0)
+        step = np.divide(step, norm[:, None], out=c.copy(), where=moving[:, None])
+        running = moving & ~(np.linalg.norm(step - c, axis=1) < CONVERGENCE_TOL)
+        c, step = step, None
+    return c, running
+
+
 def _search(cumulant: np.ndarray,
             iterations: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """Most-skewed unit direction under each whitened third cumulant of a
@@ -161,51 +172,38 @@ def _search(cumulant: np.ndarray,
     is positive, those b skewness values, the number of restarts, and per
     cumulant how many converged and which restart won.
 
-    Every restart takes SCREEN_STEPS steps; then each cumulant keeps its
-    SURVIVORS restarts of largest |skewness| at the current iterate, in
-    start order, and only those go on (successive halving with one cut).
-    The cut happens iff iterations > SCREEN_STEPS and there are more than
-    SURVIVORS restarts, even when every restart has stopped. Every
-    iteration steps every kept restart of every cumulant until none runs,
-    and a stopped entry keeps its value, so each result is, to the bit, the
-    one its cumulant gets alone. A restart dropped at the cut counts as
-    converged only if it had stopped.
+    Two climbs around one cut (successive halving): all restarts climb
+    SCREEN_STEPS steps, then each cumulant's SURVIVORS of largest |skewness|,
+    in start order, climb the rest from the product that scored them. The
+    cut happens iff iterations > SCREEN_STEPS and there are more than
+    SURVIVORS restarts, even when all have stopped. A climb steps every
+    column while any runs, and a stopped entry keeps its value, so each
+    result is, to the bit, the one its cumulant gets alone. A restart
+    dropped at the cut counts as converged only if it had stopped.
     """
     c = _restart_directions(cumulant)
     distinct = _distinct_rows(cumulant)
     b, _, r = c.shape
-    starts = np.broadcast_to(np.arange(r), (b, r))
-    running = np.ones((b, r), dtype=bool)
-    dropped = np.zeros(b, dtype=int)  # restarts that stopped, then were cut
-    cut = SCREEN_STEPS if iterations > SCREEN_STEPS and r > SURVIVORS else -1
-    for t in range(iterations):
-        if t == cut:  # the skewness c . K'(c (x) c) comes from this step's product
-            step = _step(distinct, c)
-            gamma = np.einsum("bhr,bhr->br", c, step)
-            kept = np.sort(np.argsort(-np.abs(gamma), axis=1, kind="stable")[:, :SURVIVORS], axis=1)
-            c, step = (np.take_along_axis(a, kept[:, None], axis=2) for a in (c, step))
-            dropped = (~running).sum(axis=1)
-            running, starts = (np.take_along_axis(a, kept, axis=1) for a in (running, starts))
-            dropped -= (~running).sum(axis=1)
-        elif running.any():
-            step = _step(distinct, c)
-        elif t < cut:  # every restart stopped before the cut: none moves until it
-            continue
-        else:
-            break
-        norm = np.linalg.norm(step, axis=1)
-        # zero step: c is stationary (exactly symmetric data), keep it, stop
-        moving = running & (norm > 0.0)
-        step = np.divide(step, norm[:, None], out=c.copy(), where=moving[:, None])
-        running = moving & ~(np.linalg.norm(step - c, axis=1) < CONVERGENCE_TOL)
-        c = step
+    kept = np.broadcast_to(np.arange(r), (b, r))
+    c, running = _climb(distinct, c, np.ones((b, r), dtype=bool), min(iterations, SCREEN_STEPS))
+    step, dropped = None, 0  # dropped: restarts that stopped, then were cut
+    if iterations > SCREEN_STEPS and r > SURVIVORS:
+        # the skewness c . K'(c (x) c) comes from the product the second climb starts from
+        step = _step(distinct, c)
+        gamma = np.einsum("bhr,bhr->br", c, step)
+        kept = np.sort(np.argsort(-np.abs(gamma), axis=1, kind="stable")[:, :SURVIVORS], axis=1)
+        c, step = (np.take_along_axis(a, kept[:, None], axis=2) for a in (c, step))
+        dropped = (~running).sum(axis=1)
+        running = np.take_along_axis(running, kept, axis=1)
+        dropped -= (~running).sum(axis=1)
+    c, running = _climb(distinct, c, running, iterations - SCREEN_STEPS, step)
     gamma = np.einsum("bhr,bhr->br", c, _step(distinct, c))
     # deterministic reduction: larger |skewness| wins, the earliest restart
     # breaks ties
     slices, best = np.arange(b), np.argmax(np.abs(gamma), axis=1)
     sign = np.where(gamma[slices, best] < 0, -1.0, 1.0)
     return (c[slices, :, best] * sign[:, None], gamma[slices, best] * sign, r,
-            dropped + (~running).sum(axis=1), starts[slices, best])
+            dropped + (~running).sum(axis=1), kept[slices, best])
 
 
 def require_two_variables(what: str, d: int) -> None:

@@ -458,9 +458,9 @@ def test_hyphenated_tokens_are_labels(tmp_path):
     ("--columns", "sepal", "no column named 'sepal'"),
     ("--columns", "3-1", "bad range '3-1' in selection"),
     ("--columns", ",", "empty selection ','"),
-    ("--rows", "a", "row selection must be numeric, got 'a'"),
-    ("--rows", "0", "row 0 out of range 1..150"),
-    ("--rows", "151", "row 151 out of range 1..150"),
+    ("--rows", "a", "row must be an integer, got 'a'"),
+    ("--rows", "0", "row must be from 1 to 150, got 0"),
+    ("--rows", "151", "row must be from 1 to 150, got 151"),
 ])
 def test_selection_errors_exit_2(tmp_path, iris_path, capsys, option, value, message):
     code = main(["skew", str(iris_path), "--measure", "fisher", option, value,
@@ -531,6 +531,24 @@ WIDE_JOBS = (
     ("boot", "--measure", "Mardia", "--replicates", "10", "--units", "200"),
 )
 
+# past m = 80 one search column alone exceeds SERIAL_PRODUCT; minskew is left
+# out, because its SVD changes bits with the BLAS thread count from d = 80 on
+WIDER_JOBS = (
+    ("third", "--kind", "standardized"),
+    ("skew", "--measure", "all"),
+    ("maxskew", "--iterations", "5", "--components", "2"),
+)
+
+
+def _gamma_mixed_file(path: Path, d: int) -> Path:
+    """A seeded 2000 x d gamma-mixed CSV file with a header line."""
+    rng = np.random.default_rng(d)
+    values = (rng.gamma(2.0, size=(2000, d)) @ rng.standard_normal((d, d))
+              + 0.1 * rng.standard_normal((2000, d)))
+    np.savetxt(path, values, fmt="%.9g", delimiter=",", comments="",
+               header=",".join(f"x{j + 1}" for j in range(d)))
+    return path
+
 
 def _session_trees(root: Path, input_path: Path, jobs, options) -> dict:
     """Every output file of a session at 1 and 2 BLAS threads, by relative path.
@@ -562,12 +580,12 @@ def test_outputs_independent_of_blas_threads(tmp_path, iris_path):
     assert len(trees["1"]) == 17
     assert trees["1"] == trees["2"]
 
-    rng = np.random.default_rng(32)
-    values = (rng.gamma(2.0, size=(2000, 32)) @ rng.standard_normal((32, 32))
-              + 0.1 * rng.standard_normal((2000, 32)))
-    wide = tmp_path / "wide.csv"
-    np.savetxt(wide, values, fmt="%.9g", delimiter=",", comments="",
-               header=",".join(f"x{j + 1}" for j in range(32)))
+    wide = _gamma_mixed_file(tmp_path / "wide.csv", 32)
     trees = _session_trees(tmp_path / "wide", wide, WIDE_JOBS, ())
     assert len(trees["1"]) == 17
+    assert trees["1"] == trees["2"]
+
+    wider = _gamma_mixed_file(tmp_path / "wider.csv", 96)
+    trees = _session_trees(tmp_path / "wider", wider, WIDER_JOBS, ())
+    assert len(trees["1"]) == 8
     assert trees["1"] == trees["2"]

@@ -353,11 +353,11 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
     # survivors while any runs: masking, not compacting
     widths = []
 
-    def counted(c, _real=projection._pairs):
+    def counted(c, axis, _real=projection.pair_products):
         widths.append(c.shape[-1])
-        return _real(c)
+        return _real(c, axis)
 
-    monkeypatch.setattr(projection, "_pairs", counted)
+    monkeypatch.setattr(projection, "pair_products", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
     assert (len(widths), sum(widths)) == (122, 2096)
 
@@ -391,12 +391,12 @@ def test_a_slice_stopped_before_the_cut_still_passes_it(monkeypatch):
     # still cut to 16 at step 4, as in a stack where another slice runs
     widths = []
 
-    def counted(c, _real=projection._pairs):
+    def counted(c, axis, _real=projection.pair_products):
         widths.append(c.shape[-1])
-        return _real(c)
+        return _real(c, axis)
 
     stack = small_sets()
-    monkeypatch.setattr(projection, "_pairs", counted)
+    monkeypatch.setattr(projection, "pair_products", counted)
     alone = projection._search(stack[:1], 50)
     assert widths == [17, 17, projection.SURVIVORS]
     widths.clear()
@@ -419,3 +419,25 @@ def test_step_applies_each_cumulant_to_each_pair(m, r):
     reference = cumulant.transpose(0, 2, 1) @ pairs
     step = projection._step(projection._distinct_rows(cumulant), c)
     assert np.abs(step - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("m", [4, 32, 64, 96])
+def test_step_products_are_serial_or_one_column(m, monkeypatch):
+    # every 2-d product is one column wide or within SERIAL_PRODUCT, which
+    # OpenBLAS runs on one thread: one GEMM over all columns fails here
+    # even on a host where BLAS has a single thread
+    products = []
+    matmul = np.matmul
+
+    def recorded(a, b, **kwargs):
+        products.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    rng = np.random.default_rng(m)
+    distinct = rng.standard_normal((2, m, m * (m + 1) // 2))
+    c = rng.standard_normal((2, m, min(m, 4) * m + 8))
+    monkeypatch.setattr(np, "matmul", recorded)
+    projection._step(distinct, c)
+    assert sum(np.prod(b[:-2]) * b[-1] for _, b in products) == 2 * c.shape[2]
+    for a, b in products:
+        assert b[-1] == 1 or a[-2] * a[-1] * b[-1] <= projection.SERIAL_PRODUCT
