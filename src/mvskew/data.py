@@ -24,10 +24,11 @@ and index.
 
 :func:`format_matrix` writes every value exactly as C's ``"%.{p}g"`` does.
 At p <= 15 a numpy kernel writes the finite nonzero values that print in
-fixed notation (decimal exponent -4 to p - 1), the bulk of any data. Every
-other cell -- exponent form, 0, -0, nan, +-inf, and every value at p = 16
-or 17, whose digit integer passes 2^53 -- takes the one ``%`` route: one
-call over them. A cell's route depends on the cell alone.
+fixed notation (decimal exponent -4 to p - 1) and that one pass settles,
+the bulk of any data. Every other cell -- a carry to the next power of ten,
+exponent form, 0, -0, nan, +-inf, and every value at p = 16 or 17, whose
+digit integer passes 2^53 -- takes the one ``%`` route: one call over
+them. A cell's route depends on the cell alone.
 """
 
 from __future__ import annotations
@@ -521,44 +522,37 @@ def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndar
 
 
 def _fixed_digits(x: np.ndarray, precision: int):
-    """Which cells ``"%.{precision}g"`` prints in fixed notation, precision <= 15.
+    """The fixed-notation cells of ``"%.{precision}g"`` one pass settles, p <= 15.
 
     Returns that mask, and for its cells the decimal exponent X of the value
     rounded to ``precision`` digits (-4 <= X < precision) and the digit
     integer n, 10^(p-1) <= n < 10^p: |x| * 10^(p-1-X) rounded to an integer
     as dtoa rounds, ties to even. 10^(p-1-X) is an exact double and n < 2^53,
     so n is the rint of the scaled double hi unless hi ends in exactly .5;
-    there the exact error of the product decides. A cell whose exponent the
-    one correction of floor(log10|x|) does not settle is left out of the mask.
+    there the exact error of the product decides. The mask keeps the cells
+    with hi >= 10^(p-1) and n < 10^p; one whose floor(log10|x|) is off by
+    one, or whose n rounds up to 10^p (a carry), is left out of it.
     """
     _, powers = _digit_table()
     low, high = powers[precision - 1], powers[precision]
     a = np.abs(x)
-    # below 9e-5 no value rounds up to 1e-4; nan, inf and 0 fall outside too
-    candidate = (a >= 9e-5) & (a < high)
+    # below 1e-4 a value prints in exponent form or rounds up to 1e-4, a
+    # carry; nan, inf and 0 fall outside too
+    candidate = (a >= 1e-4) & (a < high)
     a[~candidate] = 1.0
+    # next to a power of ten floor(log10|x|) may be off by one. One too small
+    # gives n >= 10^p and one too large hi < 10^(p-1), both left out, unless
+    # hi rounds up to exactly 10^(p-1), whose text is right. Just below 10^p,
+    # one too large indexes powers at -1 (10^22), so n passes 10^p: left out.
     exponent = np.floor(np.log10(a)).astype(np.intp)
     scale = powers[precision - 1 - exponent]
     hi = a * scale
-    # hi == high rounds to 10^p at this exponent and to 10^(p-1) at the next:
-    # either way the cell prints as 1 at the next exponent
-    shift = (hi >= high).view(np.int8) - (hi < low).view(np.int8)
-    moved = np.flatnonzero(shift)
-    if moved.size:
-        exponent[moved] += shift[moved]
-        scale[moved] = powers[np.clip(precision - 1 - exponent[moved], 0, 22)]
-        hi[moved] = a[moved] * scale[moved]
     n = np.rint(hi)
     tie = np.flatnonzero(np.abs(hi - n) == 0.5)
     if tie.size:
         error = _product_error(a[tie], scale[tie], hi[tie])
         n[tie] = np.where(error == 0, n[tie], hi[tie] + np.copysign(0.5, error))
-    carry = n == high
-    n[carry] = low
-    exponent += carry
-    fixed = (candidate & (hi >= low) & (hi <= high)
-             & (exponent >= -4) & (exponent < precision))
-    return fixed, exponent, n
+    return candidate & (hi >= low) & (n < high), exponent, n
 
 
 def _fixed_cells(x: np.ndarray, precision: int, width: int):
@@ -638,14 +632,14 @@ def format_matrix(matrix, precision: int) -> str:
 
     A 1-d input is one row. The bytes are exactly those of C's
     ``"%.{precision}g"``, whatever the matrix size and whichever route a cell
-    takes. At precision 1..15 a numpy kernel writes every finite nonzero
-    cell that prints in fixed notation: there 10^(p-1-X) is an exact double
-    and the digit integer stays below 2^53, so one product, its exact
-    rounding error and rint give dtoa's digits. At 16 or 17 digits the
-    integer passes 2^53, so those precisions, exponent form, 0, -0, nan and
-    +-inf take the one ``%`` route, a single call over their cells. The
-    matrix is formatted FORMAT_CELLS cells at a time, which bounds the
-    temporaries.
+    takes. At precision 1..15 a numpy kernel writes the finite nonzero cells
+    that print in fixed notation and that one pass settles: there
+    10^(p-1-X) is an exact double and the digit integer stays below 2^53, so
+    one product, its exact rounding error and rint give dtoa's digits. A
+    carry to the next power of ten, a floor(log10) off by one, 16 or 17
+    digits (the integer passes 2^53), exponent form, 0, -0, nan and +-inf
+    take the one ``%`` route, a single call over their cells. The matrix is
+    formatted FORMAT_CELLS cells at a time, which bounds the temporaries.
     ``precision`` must be an integer from 0 to 17 (PreconditionError).
     """
     require_count("precision", precision, 0, 17)

@@ -14,6 +14,7 @@ import re
 import struct
 import sys
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -120,6 +121,49 @@ def test_exact_ties_round_half_even(value, precision, text):
     # 2.5, 1.5, 0.125 and 0.375 are exact doubles; 0.15 lies below its decimal
     assert f"%.{precision}g" % value == text
     assert format_matrix([value, -value], precision) == f"{text},-{text}\n"
+
+
+def _within_ulps(value: float, ulps: int) -> list[float]:
+    below, above = [value], [value]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _carry_boundary(k: int, p: int, half: Decimal = Decimal(5)) -> float:
+    """The double nearest 10^(k+1) (1 - half 10^(-p-1)): at half = 5 the
+    least value %.{p}g rounds up to 10^(k+1); the decimals are exact."""
+    return float(Decimal(10) ** (k + 1) * (1 - half * Decimal(10) ** (-p - 1)))
+
+
+@pytest.mark.parametrize("precision", range(1, 16))
+def test_cells_next_to_powers_of_ten_and_carries_are_the_percent_format(precision):
+    # 10^k, and the carry boundary, where %g's rounding reaches 10^(k+1),
+    # each within 3 ulps
+    p = precision
+    cells = []
+    for k in range(-5, p + 1):
+        cells += _within_ulps(float(Decimal(10) ** k), 3)
+        cells += _within_ulps(_carry_boundary(k, p), 3)
+    values = np.array([cells, [-c for c in cells]])
+    assert format_matrix(values, p) == per_cell(values, p)
+
+
+@pytest.mark.parametrize("precision", range(1, 14))
+def test_a_carry_to_the_next_power_of_ten_takes_the_percent_route(precision):
+    # halfway between the carry boundary and 10^(k+1): %g prints 10^(k+1),
+    # and one pass gives n = 10^p, so the kernel leaves the cell to the %
+    # route. At p = 14 and 15 the midpoint lies within an ulp or two of
+    # 10^(k+1), where the scaled product can round to exactly 10^(p-1) and
+    # one pass settles the cell; the test above covers those.
+    p = precision
+    powers = [float(Decimal(10) ** (k + 1)) for k in range(-5, p - 1)]
+    cells = [_carry_boundary(k, p, Decimal("2.5")) for k in range(-5, p - 1)]
+    x = np.array(cells + [-c for c in cells])
+    assert per_cell(x, p) == per_cell(powers + [-c for c in powers], p)
+    assert not data._fixed_digits(x, p)[0].any()
+    assert format_matrix(x, p) == per_cell(x, p)
 
 
 @pytest.mark.parametrize("precision, calls", [(1, 1), (15, 1), (16, 0), (17, 0)])

@@ -20,7 +20,13 @@ from mvskew import (
     transform_third,
 )
 from mvskew.measures import mardia_values
-from mvskew.moments import SYMMETRY_RTOL, moment_stack, third_entries, triple_layout
+from mvskew.moments import (
+    SYMMETRY_RTOL,
+    moment_stack,
+    pair_layout,
+    third_entries,
+    triple_layout,
+)
 
 
 def pooled_with_reflection(values: np.ndarray) -> np.ndarray:
@@ -159,6 +165,26 @@ def test_mardia_from_distinct_entries_matches_the_full_sum(stack, d, blocks):
     values = mardia_values(rows)
     assert values.shape == stack
     assert np.all(np.abs(values - reference) <= 1e-13 * reference)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_layouts_are_those_of_plain_loops(d):
+    pairs = {(i, j): k for k, (i, j) in
+             enumerate((i, j) for i in range(d) for j in range(i, d))}
+    first, second, slot = pair_layout(d)
+    assert list(zip(first.tolist(), second.tolist())) == list(pairs)
+    assert slot.tolist() == [pairs[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
+
+    triples = {t: k for k, t in enumerate(
+        (i, j, h) for i in range(d) for j in range(i, d) for h in range(j, d))}
+    position, weight, fill, slots = triple_layout(d)
+    assert position.tolist() == [pairs[i, j] * d + h for i, j, h in triples]
+    assert weight.tolist() == [len(set(permutations(t))) for t in triples]
+    assert fill.tolist() == [triples[tuple(sorted((i, j, h)))]
+                             for i in range(d) for j in range(d) for h in range(d)]
+    assert slots.tolist() == [(i * d + j) * d + h for i, j, h in triples]
+    assert [a.dtype for a in (first, second, slot, position, weight, fill, slots)] == (
+        [np.dtype(np.intp)] * 4 + [np.dtype(float)] + [np.dtype(np.intp)] * 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])

@@ -371,7 +371,9 @@ def test_screened_search_attains_the_unscreened_one(law, d, monkeypatch):
                "exponential": lambda: rng.exponential(size=(300, d))}[law]()
     values = sources @ rng.standard_normal((d, d)) + 0.1 * rng.standard_normal((300, d))
     screened = max_skew(values, iterations=200, components=3).skewness
+    # the unscreened reference takes one product per step
     monkeypatch.setattr(projection, "SURVIVORS", 4 * d + 8)
+    monkeypatch.setattr(projection, "SERIAL_PRODUCT", 2**62)
     full = max_skew(values, iterations=200, components=3).skewness
     assert np.abs(screened - full).max() <= 1e-9 * np.abs(full).max()
 
