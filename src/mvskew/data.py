@@ -12,12 +12,15 @@ the parsed values under ``$XDG_CACHE_HOME/mvskew``, keyed by the sha256 of
 the file's bytes, the header and column request and the loader itself, and
 reads them back while all three are unchanged.
 
-Whitening -- the covariance, its inverse symmetric root and the whitened
-rows -- has one kernel, :func:`whiten`, which whitens a stack of row sets
-such as the bootstrap's resamples. A :class:`DataMatrix` whitens its rows
-as a stack of one on first use and caches the result
-(``DataMatrix.whitening``); every standardized quantity of a DataMatrix
-reads that cache.
+Every sum over rows of a column or a product of columns is one einsum in
+:func:`column_sums`, bit-identical to numpy's reduction over the row axis;
+rows are centered by :func:`centered` alone. Whitening -- the covariance,
+its inverse symmetric root and the whitened rows -- has one kernel,
+:func:`whiten`, which whitens a stack of row sets such as the bootstrap's
+resamples. A :class:`DataMatrix` whitens its rows as a stack of one on
+first use and caches the result (``DataMatrix.whitening``); every
+standardized quantity of a DataMatrix reads that cache. One rule makes a
+covariance singular: a relative eigenvalue floor, or a constant column.
 Argument checks that callers can get wrong (counts, indices, names)
 raise :class:`PreconditionError`; :func:`require_count` checks every count
 and index.
@@ -192,9 +195,27 @@ def as_data_matrix(data) -> DataMatrix:
     return DataMatrix(values, tuple(f"x{j + 1}" for j in range(values.shape[1])))
 
 
-def _centered(values: np.ndarray) -> np.ndarray:
-    """Each row set of a stack (..., n, d) less its column means."""
-    return values - values.mean(axis=-2, keepdims=True)
+def column_sums(*factors: np.ndarray) -> np.ndarray:
+    """Sums over the rows of the factors' product, stacks (..., n, d) to (..., d);
+    a factor but the last may be (..., n, 1). At d >= 2 one einsum (no BLAS)
+    adds the rows in numpy's order, giving the bits of (a * b).sum(axis=-2)
+    without its temporaries; d = 1, which numpy sums pairwise, keeps numpy's."""
+    if factors[-1].shape[-1] == 1:
+        return functools.reduce(np.multiply, factors).sum(axis=-2)
+    return np.einsum(",".join(["...ij"] * len(factors)) + "->...j", *factors)
+
+
+def centered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row set of a stack (..., n, d) less its column means, and the
+    means (..., d): the one centering rule."""
+    means = column_sums(values) / values.shape[-2]
+    return values - means[..., None, :], means
+
+
+def constant_columns(variances: np.ndarray, means: np.ndarray, n: int) -> np.ndarray:
+    """Whether each column of n rows is constant: its standard deviation is at
+    most n eps |mean|, above what rounding the mean of n equal values leaves."""
+    return np.sqrt(variances) <= n * np.finfo(float).eps * np.abs(means)
 
 
 def _gram(centered: np.ndarray) -> np.ndarray:
@@ -202,19 +223,24 @@ def _gram(centered: np.ndarray) -> np.ndarray:
     return np.swapaxes(centered, -1, -2) @ centered / centered.shape[-2]
 
 
-def _spectrum(matrices: np.ndarray):
+def _spectrum(matrices: np.ndarray, means: np.ndarray | None = None, n: int = 0):
     """Symmetric part, eigenpairs and singularity of each matrix of (..., d, d).
 
     Returns each matrix's exactly symmetric part, the ascending eigenvalues,
     the eigenvectors and the package's one singularity test: the smallest
     eigenvalue is at most EIG_RTOL times the largest (or times the smallest
-    positive float, when the largest is not positive). Symmetry is checked
-    by :func:`inv_sqrt`, the one caller given a matrix from outside.
+    positive float, when the largest is not positive), or, given the column
+    ``means`` of the n rows of a covariance, a constant column, which the
+    relative test misses at d = 1. Symmetry is checked by :func:`inv_sqrt`,
+    the one caller given a matrix from outside.
     """
     matrices = (matrices + np.swapaxes(matrices, -1, -2)) / 2.0
     eigvals, eigvecs = np.linalg.eigh(matrices)
     singular = eigvals[..., 0] <= EIG_RTOL * np.maximum(eigvals[..., -1],
                                                         np.finfo(float).tiny)
+    if means is not None:
+        variances = np.diagonal(matrices, axis1=-2, axis2=-1)
+        singular |= constant_columns(variances, means, n).any(axis=-1)
     return matrices, eigvals, eigvecs, singular
 
 
@@ -350,9 +376,10 @@ def _cache_entry(path: Path, request: str) -> tuple[Path, tuple[int, int, int]] 
         root = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
         source = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
         key = hashlib.sha256(f"{np.__version__}\0{source}\0{request}\0".encode())
-        with open(path, "rb") as handle:
-            while chunk := handle.read(1 << 20):
-                key.update(chunk)
+        chunk = memoryview(bytearray(1 << 20))  # one buffer for every read
+        with open(path, "rb", buffering=0) as handle:
+            while size := handle.readinto(chunk):
+                key.update(chunk[:size])
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
     return root / "mvskew" / f"{key.hexdigest()}.npy", stamp
@@ -664,7 +691,8 @@ def covariance(data) -> np.ndarray:
         message names the near-null direction in terms of the column labels.
     """
     data = as_data_matrix(data)
-    cov, eigvals, eigvecs, singular = _spectrum(_gram(_centered(data.values)))
+    rows, means = centered(data.values)
+    cov, eigvals, eigvecs, singular = _spectrum(_gram(rows), means, data.n)
     if singular:
         combo = " ".join(f"{w:+.3f}*{name}" for w, name in zip(eigvecs[:, 0], data.names))
         raise SingularityError(
@@ -702,13 +730,13 @@ def whiten(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the symmetric roots S^{-1/2}, shape (k, d, d), with the boolean mask
     of those sets. A set's bits do not depend on the rest of the stack.
     """
-    centered = _centered(stack)
-    _, eigvals, eigvecs, singular = _spectrum(_gram(centered))
+    rows, means = centered(stack)
+    _, eigvals, eigvecs, singular = _spectrum(_gram(rows), means, stack.shape[-2])
     regular = ~singular
     roots = _inv_root(eigvals[regular], eigvecs[regular])
     if not regular.all():  # a boolean index copies even when it keeps every set
-        centered = centered[regular]
-    return centered @ roots, roots, regular
+        rows = rows[regular]
+    return rows @ roots, roots, regular
 
 
 def standardize(data) -> DataMatrix:

@@ -1,6 +1,7 @@
 """Scalar and vector skewness measures with parametric p-values.
 
-All measures share the 1/n moment convention from :mod:`mvskew.data`.
+All measures share the 1/n moment convention, the row sums
+(``data.column_sums``) and the constant-column rule of :mod:`mvskew.data`.
 Mardia's skewness takes one of two routes, chosen from (n, d) alone: the
 weighted squares of the distinct third-moment entries, at about n d^3 / 2
 flops, or, when GRAM_RATIO * n <= d^2, the sum of (z_i' z_j)^3 over the
@@ -20,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import PreconditionError, SingularityError, as_data_matrix, require_count
+from .data import (PreconditionError, SingularityError, as_data_matrix, centered, column_sums,
+                   constant_columns, require_count)
 from .moments import third_entries, triple_layout
 from .projection import directional_values, require_two_variables
 
@@ -102,14 +104,14 @@ def chi2_sf(x: float, dof: int) -> float:
 def fisher_skew(data) -> np.ndarray:
     """Per-column skewness: third central moment over sigma^3 (1/n weights)."""
     data = as_data_matrix(data)
-    centered = data.values - data.values.mean(axis=0)
-    squared = centered * centered
-    m2 = squared.mean(axis=0)
-    if np.any(m2 <= 0):
-        bad = data.names[int(np.argmin(m2))]
+    rows, means = centered(data.values)
+    m2 = column_sums(rows, rows) / data.n
+    constant = constant_columns(m2, means, data.n)
+    if constant.any():
+        bad = data.names[int(np.argmax(constant))]
         raise SingularityError(f"column {bad!r} has zero variance")
-    # multiplies, not centered**3, which calls C pow on every entry
-    m3 = (squared * centered).mean(axis=0)
+    # multiplies, not rows**3, which calls C pow on every entry
+    m3 = column_sums(rows, rows, rows) / data.n
     return m3 / m2**1.5
 
 
@@ -166,7 +168,8 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
 
 def _mori(z: np.ndarray) -> np.ndarray:
     """Mean of (z'z) z over the whitened rows of each row set in a stack (..., n, d)."""
-    return ((z**2).sum(axis=-1)[..., None] * z).mean(axis=-2)
+    # the row sums as numpy adds them: einsum's order differs from d = 3 on
+    return column_sums((z**2).sum(axis=-1)[..., None], z) / z.shape[-2]
 
 
 def _partial(vector: np.ndarray) -> float:

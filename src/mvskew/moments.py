@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, PreconditionError, as_data_matrix, format_matrix,
+from .data import (DataError, PreconditionError, as_data_matrix, centered, format_matrix,
                    require_count, require_finite)
 
 __all__ = [
@@ -189,7 +189,7 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
     if kind == "raw":
         rows = data.values
     elif kind == "central":
-        rows = data.values - data.values.mean(axis=0)
+        rows = centered(data.values)[0]
     else:
         rows = data.whitening[0]
     return ThirdMomentMatrix(moment_stack(rows), kind)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, as_data_matrix, require_count
+from .data import DataError, as_data_matrix, centered, require_count
 from .measures import SkewnessReport, mardia_skewness
 from .moments import third_moment
 from .projection import ProjectionBasis, require_two_variables
@@ -69,5 +69,4 @@ def residual_skewness(basis: ProjectionBasis, data) -> SkewnessReport:
             f"basis was built for {basis.directions.shape[0]} variables, "
             f"data has {data.d}"
         )
-    centered = data.values - data.values.mean(axis=0)
-    return mardia_skewness(centered @ basis.directions)
+    return mardia_skewness(centered(data.values)[0] @ basis.directions)

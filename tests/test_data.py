@@ -24,7 +24,8 @@ from mvskew import (
     standardize,
     third_moment,
 )
-from mvskew.data import as_data_matrix, format_matrix
+from mvskew.data import as_data_matrix, centered, format_matrix
+from mvskew.measures import _mori
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +284,81 @@ def test_select_rows_of_nothing_is_a_data_error(iris):
     with pytest.raises(DataError, match=r"^need at least 2 rows and 1 column, got 0x4$") as error:
         iris.select_rows([])
     assert not isinstance(error.value, PreconditionError)
+
+
+# ---------------------------------------------------------------------------
+# row reductions: the bits of the numpy expressions they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_centered(x):
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+def _reference_fisher(x):
+    centered = x - x.mean(axis=0)
+    squared = centered * centered
+    return (squared * centered).mean(axis=0) / squared.mean(axis=0) ** 1.5
+
+
+def _reference_mori(z):
+    return ((z**2).sum(axis=-1)[..., None] * z).mean(axis=-2)
+
+
+def _assert_reductions_are_the_reference(x):
+    x.setflags(write=False)
+    rows, means = centered(x)
+    assert np.array_equal(rows, _reference_centered(x))
+    assert np.array_equal(means, x.mean(axis=-2))
+    assert np.array_equal(_mori(x), _reference_mori(x))
+    for one in x.reshape((-1,) + x.shape[-2:]):
+        assert np.array_equal(fisher_skew(one), _reference_fisher(one))
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_row_reductions_are_the_numpy_expressions_bit_for_bit(d):
+    # einsum adds the rows in numpy's order for d >= 2; d = 1 keeps numpy's
+    # pairwise sum. A numpy that changes either order fails here.
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        n = int(np.exp(rng.uniform(np.log(2), np.log(5000))))
+        sets = int(rng.integers(0, 4))  # 0: one plain (n, d) set
+        shape = (n, d) if sets == 0 else (sets, n, d)
+        scale = 10.0 ** rng.uniform(-3, 3, size=d)
+        x = (rng.gamma(2.0, size=shape) - rng.uniform(-5, 5, size=d)) * scale
+        _assert_reductions_are_the_reference(x)
+
+
+def test_row_reductions_of_a_tall_set_are_the_numpy_expressions():
+    rng = np.random.default_rng(8)
+    _assert_reductions_are_the_reference(rng.gamma(2.0, size=(200_000, 8)) @ rng.normal(size=(8, 8)))
+
+
+@pytest.mark.parametrize("value", [0.0, 0.1, 0.3, -7.7, 1e-300, 3e100])
+@pytest.mark.parametrize("n", [2, 7, 1000, 4096])
+def test_a_constant_column_is_singular_at_any_value(value, n):
+    # the mean of n copies of 0.1 or 0.3 does not round to the value: the
+    # centered column is a tiny nonzero constant, which must not read as
+    # spread; at d = 1 the relative eigenvalue test cannot see it
+    column = np.full(n, value)
+    for x in (column[:, None], np.column_stack([column, np.arange(n) % 5]),
+              np.column_stack([column, -column])):
+        with pytest.raises(SingularityError):
+            covariance(x)
+        for measure in (mardia_skewness, partial_skewness):
+            with pytest.raises(SingularityError):
+                measure(x)
+        with pytest.raises(SingularityError, match="'x1' has zero variance"):
+            fisher_skew(x)
+
+
+def test_a_constant_resample_is_redrawn_at_any_value():
+    # the same resamples are singular whether the repeated value is 0.0 or
+    # 0.1, so the same ones are redrawn and Mardia, affine invariant, agrees
+    tenth = np.vstack([np.full((30, 1), 0.1), [[1.1]]])
+    zero = np.vstack([np.full((30, 1), 0.0), [[1.0]]])
+    results = [skew_boot(x, 300, 6, "Mardia", seed=2) for x in (tenth, zero)]
+    assert results[0].redraws == results[1].redraws > 0
+    assert_allclose(results[0].replicates, results[1].replicates, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,25 @@ def test_index_layouts_are_built_only_in_moments():
     assert {name: found for name, found in homes.items() if found} == {"moments.py": builders}
 
 
+def _row_reductions(tree: ast.AST) -> list[int]:
+    """Lines of every ``.mean(`` call and of every ``.sum(`` over axis 0 or -2."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "mean" or node.func.attr == "sum" and any(
+                keyword.arg == "axis" and ast.unparse(keyword.value) in ("0", "-2")
+                for keyword in node.keywords))]
+
+
+def test_rows_are_centered_and_summed_only_in_data():
+    # data.centered and data.column_sums are the one row reduction: a mean
+    # or a column sum over rows anywhere else would center by its own rule
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py"))
+                 if path.name != "data.py"
+                 and (lines := _row_reductions(ast.parse(path.read_text())))}
+    assert offenders == {}
+    assert _row_reductions(ast.parse("x.mean(axis=0)\nx.sum(axis=-2)\nx.sum(axis=1)")) == [1, 2]
+
+
 def test_no_module_imports_a_private_name_from_another():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
