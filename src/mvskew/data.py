@@ -218,9 +218,20 @@ def constant_columns(variances: np.ndarray, means: np.ndarray, n: int) -> np.nda
     return np.sqrt(variances) <= n * np.finfo(float).eps * np.abs(means)
 
 
+def require_finite_moments(moments: np.ndarray) -> None:
+    """Raise DataError naming the first column whose moment in a stack (..., d)
+    is not finite: finite values whose powers overflow a double."""
+    overflow = ~np.isfinite(moments).reshape(-1, moments.shape[-1]).all(axis=0)
+    if overflow.any():
+        raise DataError(f"the moments of column {int(np.argmax(overflow)) + 1} overflow "
+                        "a double; rescale the column")
+
+
 def _gram(centered: np.ndarray) -> np.ndarray:
-    """1/n covariance of each centered row set of a stack (..., n, d)."""
-    return np.swapaxes(centered, -1, -2) @ centered / centered.shape[-2]
+    """1/n covariance of each centered row set of a stack (..., n, d); an
+    overflow gives inf, which _spectrum refuses."""
+    with np.errstate(over="ignore"):
+        return np.swapaxes(centered, -1, -2) @ centered / centered.shape[-2]
 
 
 def _spectrum(matrices: np.ndarray, means: np.ndarray | None = None, n: int = 0):
@@ -232,14 +243,17 @@ def _spectrum(matrices: np.ndarray, means: np.ndarray | None = None, n: int = 0)
     positive float, when the largest is not positive), or, given the column
     ``means`` of the n rows of a covariance, a constant column, which the
     relative test misses at d = 1. Symmetry is checked by :func:`inv_sqrt`,
-    the one caller given a matrix from outside.
+    the one caller given a matrix from outside. A variance that is not finite
+    raises DataError; with finite rows, no other entry overflows alone.
     """
-    matrices = (matrices + np.swapaxes(matrices, -1, -2)) / 2.0
+    with np.errstate(over="ignore"):
+        matrices = (matrices + np.swapaxes(matrices, -1, -2)) / 2.0
+    variances = np.diagonal(matrices, axis1=-2, axis2=-1)
+    require_finite_moments(variances)
     eigvals, eigvecs = np.linalg.eigh(matrices)
     singular = eigvals[..., 0] <= EIG_RTOL * np.maximum(eigvals[..., -1],
                                                         np.finfo(float).tiny)
     if means is not None:
-        variances = np.diagonal(matrices, axis1=-2, axis2=-1)
         singular |= constant_columns(variances, means, n).any(axis=-1)
     return matrices, eigvals, eigvecs, singular
 

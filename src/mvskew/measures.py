@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import (PreconditionError, SingularityError, as_data_matrix, centered, column_sums,
-                   constant_columns, require_count)
+                   constant_columns, require_count, require_finite_moments)
 from .moments import third_entries, triple_layout
 from .projection import directional_values, require_two_variables
 
@@ -106,12 +106,13 @@ def fisher_skew(data) -> np.ndarray:
     data = as_data_matrix(data)
     rows, means = centered(data.values)
     m2 = column_sums(rows, rows) / data.n
+    # multiplies, not rows**3, which calls C pow on every entry
+    m3 = column_sums(rows, rows, rows) / data.n
+    require_finite_moments(np.stack((m2, m3)))
     constant = constant_columns(m2, means, data.n)
     if constant.any():
         bad = data.names[int(np.argmax(constant))]
         raise SingularityError(f"column {bad!r} has zero variance")
-    # multiplies, not rows**3, which calls C pow on every entry
-    m3 = column_sums(rows, rows, rows) / data.n
     return m3 / m2**1.5
 
 

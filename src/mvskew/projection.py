@@ -9,11 +9,12 @@ fixed-seed random unit vectors: min(m, 4) m + 8 restarts in m dimensions,
 136 at m = 32. The search is two climbs around one cut: the restarts of a
 stack of cumulants climb SCREEN_STEPS steps as one batch, then only the
 SURVIVORS of largest |skewness| per cumulant climb on, 16 columns a step,
-not about 4m. A step is one stacked product K' [c_r (x) c_r]_r, and a
+not about 4m. A step is K' (c_r (x) c_r) for every column c_r at once, and a
 column freezes once its step is within CONVERGENCE_TOL or is zero.
-The product is taken over the distinct products c_i c_j, i <= j, in column
-groups small enough that BLAS runs each on one thread, so the search's bits
-do not depend on the BLAS thread count.
+K is index-symmetric, so K' (c (x) c) = sum_i c_i (K_i c) over its m x m
+blocks K_i: one tall product K C that contracts over m, then a sum over i
+in einsum, which calls no BLAS. Like the moment's and the whitening's
+products, it keeps its bits across BLAS thread counts.
 max_skew searches a stack of one cumulant per component, the Directional
 bootstrap a block of resamples at once. Later directions repeat the search
 in the orthogonal complement B of those found (deflation), on
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, PreconditionError, as_data_matrix, require_count
-from .moments import moment_stack, pair_layout, pair_products, third_moment, transform_third
+from .moments import moment_stack, third_moment, transform_third
 
 __all__ = ["ProjectionBasis", "max_skew"]
 
@@ -38,10 +39,6 @@ RESTART_SEED = 20240611
 N_RANDOM_RESTARTS = 8
 # blocks of largest Frobenius norm whose eigenvectors start the search
 RESTART_BLOCKS = 4
-
-# a matrix product of at most this many multiply-adds runs on one thread in
-# OpenBLAS (65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4)
-SERIAL_PRODUCT = 2**18
 
 # stop power iteration early once successive iterates are this close
 CONVERGENCE_TOL = 1e-12
@@ -111,51 +108,27 @@ def _restart_directions(cumulant: np.ndarray) -> np.ndarray:
     return np.concatenate([eigvecs.transpose(0, 2, 1, 3).reshape(b, m, kept * m), random], axis=2)
 
 
-def _distinct_rows(cumulant: np.ndarray) -> np.ndarray:
-    """The (b, m, m(m+1)/2) stack D with D @ pair_products(c, 1) = K' (c (x) c)
-    for each cumulant K of a stack (b, m^2, m): the rows (i, j), i <= j, of
-    K, transposed, those with i < j doubled (exactly) for their twins (j, i)."""
-    m = cumulant.shape[2]
-    first, second, _ = pair_layout(m)
-    return np.swapaxes(cumulant[:, first * m + second]
-                       * np.where(first == second, 1.0, 2.0)[:, None], 1, 2)
+def _step(cumulant: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """K' (c_r (x) c_r) for every column c_r of each slice c (b, m, R) and
+    each cumulant K of a stack (b, m^2, m): sum_i c_ri (K_i c_r) over the
+    m x m blocks K_i of K, from one batched product K C that contracts over m."""
+    b, m, r = c.shape
+    blocks = np.matmul(cumulant, c).reshape(b, m, m, r)
+    return np.einsum("bir,bijr->bjr", c, blocks)
 
 
-def _step(distinct: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """distinct @ pair_products(c, 1), for distinct = _distinct_rows(K):
-    K' (c_r (x) c_r) for every column c_r of each slice.
-
-    The columns are multiplied in groups of at most SERIAL_PRODUCT
-    multiply-adds, all whole groups in one batched matmul and the rest in
-    one more, so BLAS runs every product on one thread and the bits do not
-    depend on the thread count. Past m = 80 one column alone exceeds
-    SERIAL_PRODUCT; at m = 96 those too kept their bits (tests/test_cli.py).
-    """
-    pairs = pair_products(c, 1)
-    (b, m, p), r = distinct.shape, c.shape[2]
-    width = max(1, SERIAL_PRODUCT // (m * p))
-    whole = r - r % width
-    step = np.empty((b, m, r))
-
-    def groups(a):  # (b, k, whole) -> (b, whole // width, k, width), a view
-        return a[:, :, :whole].reshape(b, a.shape[1], whole // width, width).transpose(0, 2, 1, 3)
-
-    np.matmul(distinct[:, None], groups(pairs), out=groups(step))
-    np.matmul(distinct, pairs[:, :, whole:], out=step[:, :, whole:])
-    return step
-
-
-def _climb(distinct: np.ndarray, c: np.ndarray, running: np.ndarray, steps: int,
+def _climb(cumulant: np.ndarray, c: np.ndarray, running: np.ndarray, steps: int,
            step: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``steps`` power steps c <- normalize(K' (c (x) c)) of the running
-    columns of c (b, m, R), while any runs, the first from the product
-    ``step`` if given: the new c and which columns still run. A column
-    stops, keeping its value, once its step is within CONVERGENCE_TOL or is zero."""
+    columns of c (b, m, R) under each cumulant K of a stack (b, m^2, m), while
+    any runs, the first from the product ``step`` if given: the new c and
+    which columns still run. A column stops, keeping its value, once its step
+    is within CONVERGENCE_TOL or is zero."""
     for _ in range(steps):
         if not running.any():
             break
         if step is None:
-            step = _step(distinct, c)
+            step = _step(cumulant, c)
         norm = np.linalg.norm(step, axis=1)
         # zero step: c is stationary (exactly symmetric data), keep it, stop
         moving = running & (norm > 0.0)
@@ -182,22 +155,21 @@ def _search(cumulant: np.ndarray,
     dropped at the cut counts as converged only if it had stopped.
     """
     c = _restart_directions(cumulant)
-    distinct = _distinct_rows(cumulant)
     b, _, r = c.shape
     kept = np.broadcast_to(np.arange(r), (b, r))
-    c, running = _climb(distinct, c, np.ones((b, r), dtype=bool), min(iterations, SCREEN_STEPS))
+    c, running = _climb(cumulant, c, np.ones((b, r), dtype=bool), min(iterations, SCREEN_STEPS))
     step, dropped = None, 0  # dropped: restarts that stopped, then were cut
     if iterations > SCREEN_STEPS and r > SURVIVORS:
         # the skewness c . K'(c (x) c) comes from the product the second climb starts from
-        step = _step(distinct, c)
+        step = _step(cumulant, c)
         gamma = np.einsum("bhr,bhr->br", c, step)
         kept = np.sort(np.argsort(-np.abs(gamma), axis=1, kind="stable")[:, :SURVIVORS], axis=1)
         c, step = (np.take_along_axis(a, kept[:, None], axis=2) for a in (c, step))
         dropped = (~running).sum(axis=1)
         running = np.take_along_axis(running, kept, axis=1)
         dropped -= (~running).sum(axis=1)
-    c, running = _climb(distinct, c, running, iterations - SCREEN_STEPS, step)
-    gamma = np.einsum("bhr,bhr->br", c, _step(distinct, c))
+    c, running = _climb(cumulant, c, running, iterations - SCREEN_STEPS, step)
+    gamma = np.einsum("bhr,bhr->br", c, _step(cumulant, c))
     # deterministic reduction: larger |skewness| wins, the earliest restart
     # breaks ties
     slices, best = np.arange(b), np.argmax(np.abs(gamma), axis=1)

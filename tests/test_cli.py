@@ -362,6 +362,18 @@ def test_singular_data_exit_1(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, measure", [(1e160, "all"), (1e110, "fisher")])
+def test_overflowing_moments_exit_1(tmp_path, capsys, scale, measure):
+    path = tmp_path / "huge.csv"
+    values = np.random.default_rng(0).gamma(2, size=(1000, 2)) * [scale, 1]
+    path.write_text("a,b\n" + format_matrix(values, 17))
+    code = main(["skew", str(path), "--measure", measure, "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "mvskew: the moments of column 1 overflow a double; rescale the column\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_file_exit_1(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes("a,b,name\n1,2,caf\xe9\n3,5,x\n4,1,y\n".encode("latin-1"))
@@ -531,12 +543,14 @@ WIDE_JOBS = (
     ("boot", "--measure", "Mardia", "--replicates", "10", "--units", "200"),
 )
 
-# past m = 80 one search column alone exceeds SERIAL_PRODUCT; minskew is left
-# out, because its SVD changes bits with the BLAS thread count from d = 80 on
+# at d = 96 BLAS splits the moment's products and the search's K C, for one
+# cumulant and for the Directional bootstrap's stack, between threads; minskew
+# is left out, because its SVD changes bits with the BLAS thread count from d = 80 on
 WIDER_JOBS = (
     ("third", "--kind", "standardized"),
     ("skew", "--measure", "all"),
     ("maxskew", "--iterations", "5", "--components", "2"),
+    ("boot", "--measure", "Directional", "--replicates", "2", "--units", "200"),
 )
 
 
@@ -587,5 +601,5 @@ def test_outputs_independent_of_blas_threads(tmp_path, iris_path):
 
     wider = _gamma_mixed_file(tmp_path / "wider.csv", 96)
     trees = _session_trees(tmp_path / "wider", wider, WIDER_JOBS, ())
-    assert len(trees["1"]) == 8
+    assert len(trees["1"]) == 11
     assert trees["1"] == trees["2"]

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import mvskew
 from mvskew import (
+    DataError,
     DataMatrix,
     PreconditionError,
     SingularityError,
@@ -77,6 +78,23 @@ def test_fisher_zero_variance_column():
     data = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
     with pytest.raises(SingularityError, match="zero variance"):
         fisher_skew(data)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("scale", [1e160, 1e110])
+def test_overflowing_moments_are_a_named_error(scale, column):
+    # finite values whose squares (1e160) or cubes (1e110) pass the largest
+    # double: a named error, not inf or NaN
+    x = np.random.default_rng(0).gamma(2, size=(1000, 2))
+    x[:, column] *= scale
+    message = f"^the moments of column {column + 1} overflow a double; rescale the column$"
+    calls = [fisher_skew]
+    if scale == 1e160:
+        calls += [mvskew.covariance, mardia_skewness, partial_skewness,
+                  lambda x: directional_skewness(x, 5), lambda x: whiten(x[None])]
+    for call in calls:
+        with pytest.raises(DataError, match=message):
+            call(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,11 +357,11 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
     # survivors while any runs: masking, not compacting
     widths = []
 
-    def counted(c, axis, _real=projection.pair_products):
+    def counted(cumulant, c, _real=projection._step):
         widths.append(c.shape[-1])
-        return _real(c, axis)
+        return _real(cumulant, c)
 
-    monkeypatch.setattr(projection, "pair_products", counted)
+    monkeypatch.setattr(projection, "_step", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
     assert (len(widths), sum(widths)) == (122, 2096)
 
@@ -371,9 +375,8 @@ def test_screened_search_attains_the_unscreened_one(law, d, monkeypatch):
                "exponential": lambda: rng.exponential(size=(300, d))}[law]()
     values = sources @ rng.standard_normal((d, d)) + 0.1 * rng.standard_normal((300, d))
     screened = max_skew(values, iterations=200, components=3).skewness
-    # the unscreened reference takes one product per step
+    # the unscreened reference climbs every restart
     monkeypatch.setattr(projection, "SURVIVORS", 4 * d + 8)
-    monkeypatch.setattr(projection, "SERIAL_PRODUCT", 2**62)
     full = max_skew(values, iterations=200, components=3).skewness
     assert np.abs(screened - full).max() <= 1e-9 * np.abs(full).max()
 
@@ -393,12 +396,12 @@ def test_a_slice_stopped_before_the_cut_still_passes_it(monkeypatch):
     # still cut to 16 at step 4, as in a stack where another slice runs
     widths = []
 
-    def counted(c, axis, _real=projection.pair_products):
+    def counted(cumulant, c, _real=projection._step):
         widths.append(c.shape[-1])
-        return _real(c, axis)
+        return _real(cumulant, c)
 
     stack = small_sets()
-    monkeypatch.setattr(projection, "pair_products", counted)
+    monkeypatch.setattr(projection, "_step", counted)
     alone = projection._search(stack[:1], 50)
     assert widths == [17, 17, projection.SURVIVORS]
     widths.clear()
@@ -412,22 +415,22 @@ def test_a_slice_stopped_before_the_cut_still_passes_it(monkeypatch):
 
 @pytest.mark.parametrize("m,r", [(3, 5), (8, 1), (8, 910), (8, 2000), (31, 17), (31, 969)])
 def test_step_applies_each_cumulant_to_each_pair(m, r):
-    # columns go in groups of 910 at m = 8 and 17 at m = 31: r below one
-    # group, exactly one, and whole groups plus a rest
+    # from one column to thousands, against the full d^2 pair products
     rng = np.random.default_rng(m * r)
     cumulant = moment_stack(rng.gamma(2.0, size=(2, 50, m)))
     c = rng.standard_normal((2, m, r))
     pairs = (c[:, :, None, :] * c[:, None, :, :]).reshape(2, m * m, r)
     reference = cumulant.transpose(0, 2, 1) @ pairs
-    step = projection._step(projection._distinct_rows(cumulant), c)
+    step = projection._step(cumulant, c)
     assert np.abs(step - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("m", [4, 32, 64, 96])
-def test_step_products_are_serial_or_one_column(m, monkeypatch):
-    # every 2-d product is one column wide or within SERIAL_PRODUCT, which
-    # OpenBLAS runs on one thread: one GEMM over all columns fails here
-    # even on a host where BLAS has a single thread
+def test_step_products_contract_over_m(m, monkeypatch):
+    # the step's BLAS products contract over m, as the moment's and the
+    # whitening's do; one over the m(m+1)/2 distinct pairs, which changed its
+    # bits with the BLAS thread count at m = 32 and 96, fails here even
+    # where BLAS has one thread
     products = []
     matmul = np.matmul
 
@@ -436,10 +439,39 @@ def test_step_products_are_serial_or_one_column(m, monkeypatch):
         return matmul(a, b, **kwargs)
 
     rng = np.random.default_rng(m)
-    distinct = rng.standard_normal((2, m, m * (m + 1) // 2))
+    cumulant = rng.standard_normal((2, m * m, m))
     c = rng.standard_normal((2, m, min(m, 4) * m + 8))
     monkeypatch.setattr(np, "matmul", recorded)
-    projection._step(distinct, c)
+    projection._step(cumulant, c)
+    assert products
     assert sum(np.prod(b[:-2]) * b[-1] for _, b in products) == 2 * c.shape[2]
     for a, b in products:
-        assert b[-1] == 1 or a[-2] * a[-1] * b[-1] <= projection.SERIAL_PRODUCT
+        assert a[-1] == b[-2] == m
+
+
+STEP_SCRIPT = """
+import hashlib
+import numpy as np
+from mvskew import projection
+from mvskew.moments import moment_stack
+for m in (64, 128):
+    rng = np.random.default_rng(m)
+    cumulant = moment_stack(rng.gamma(2.0, size=(1, 300, m)))
+    for r in (4 * m + 8, 16):
+        step = projection._step(cumulant, rng.standard_normal((1, m, r)))
+        print(hashlib.sha256(step.tobytes()).hexdigest())
+"""
+
+
+def test_step_bits_do_not_depend_on_blas_threads():
+    # BLAS reads its thread count at load time, so each count needs its own process
+    src = str(Path(projection.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", STEP_SCRIPT],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        digests[threads] = result.stdout.split()
+    assert len(digests["1"]) == 4
+    assert digests["1"] == digests["2"]

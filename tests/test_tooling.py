@@ -88,6 +88,18 @@ def test_index_layouts_are_built_only_in_moments():
     assert {name: found for name, found in homes.items() if found} == {"moments.py": builders}
 
 
+def test_pair_order_is_read_only_in_moments():
+    # pair_layout's order is moments' own: no other module imports, calls or
+    # names pair_layout or pair_products
+    pair_names = {"pair_layout", "pair_products"}
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        if pair_names & {getattr(node, key, None) for node in nodes for key in ("id", "attr", "name")}:
+            users.add(path.name)
+    assert users == {"moments.py"}
+
+
 def _row_reductions(tree: ast.AST) -> list[int]:
     """Lines of every ``.mean(`` call and of every ``.sum(`` over axis 0 or -2."""
     return [node.lineno for node in ast.walk(tree)
@@ -217,7 +229,7 @@ def test_names_in_the_docs_exist():
         prose += re.findall(r"#.*$", source, re.MULTILINE)
         named |= {(path.name, name) for name in _upper_names(" ".join(prose))}
     missing = [f"{where}: {name}" for where, name in sorted(named)
-               if name not in ("XDG_CACHE_HOME", "GEMM_MULTITHREAD_THRESHOLD")
+               if name != "XDG_CACHE_HOME"
                and not any(hasattr(module, name) for module in modules)]
     dotted = re.findall(r"\bmvskew(?:\.[A-Za-z_]\w*)+", readme)
     assert dotted
