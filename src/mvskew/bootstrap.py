@@ -114,23 +114,14 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     values = np.empty(replicates)
     redraws = 0
     steps = -(-int(units) // 4)  # Philox counter steps per replicate, 4 doubles each
-    # per attempt, built once: a Philox keyed by (seed, attempt), its state
-    # when fresh (counter 0, buffer empty) and a Generator drawing from it
-    streams = []
     size = max(1, BLOCK_ELEMENTS // (units * data.d**2))
     for start in range(0, replicates, size):
         pending = np.arange(start, min(start + size, replicates))  # no value yet
         for attempt in range(MAX_REDRAWS):
-            if attempt == len(streams):
-                bits = np.random.Philox(key=np.random.SeedSequence(
-                    seed, spawn_key=(attempt,)).generate_state(2, np.uint64))
-                streams.append((bits, bits.state, np.random.Generator(bits)))
-            bits, state, generator = streams[attempt]
             first = int(pending[0])
-            # the whole state, as Philox(key, counter=first * steps) starts:
-            # no block depends on what the block before it drew
-            state["state"]["counter"][0] = first * steps
-            bits.state = state
+            # a fresh Philox at the block's first step: no block depends on the one before
+            key = np.random.SeedSequence(seed, spawn_key=(attempt,)).generate_state(2, np.uint64)
+            generator = np.random.Generator(np.random.Philox(key=key, counter=first * steps))
             u = generator.random((int(pending[-1]) + 1 - first, 4 * steps))
             rows = (data.n * u[pending - first, :units]).astype(np.intp)
             z, _, regular = whiten(data.values[rows])

@@ -170,13 +170,7 @@ def _cmd_maxskew(args, data: DataMatrix) -> None:
                    or format_matrix(basis.projected, args.precision))
     # scatter data for external plotting: projections with column labels
     header = ",".join(f"proj{j + 1}" for j in range(basis.projected.shape[1])) + "\n"
-
-    def scatter(path: Path) -> None:
-        with open(path, "w") as handle:
-            handle.write(header)
-            handle.write(projections)
-
-    _write(args, "maxskew_scatter.csv", scatter)
+    _write(args, "maxskew_scatter.csv", header + projections)
 
 
 def _cmd_minskew(args, data: DataMatrix) -> None:

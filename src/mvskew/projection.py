@@ -13,8 +13,8 @@ not about 4m. A step is K' (c_r (x) c_r) for every column c_r at once, and a
 column freezes once its step is within CONVERGENCE_TOL or is zero.
 K is index-symmetric, so K' (c (x) c) = sum_i c_i (K_i c) over its m x m
 blocks K_i: one tall product K C that contracts over m, then a sum over i
-in einsum, which calls no BLAS. Like the moment's and the whitening's
-products, it keeps its bits across BLAS thread counts.
+in einsum, which calls no BLAS. Its bits held at 1 and 2 BLAS threads at
+m = 64 and 128; at odd m the full-width step, 4m + 8 columns, changed them.
 max_skew searches a stack of one cumulant per component, the Directional
 bootstrap a block of resamples at once. Later directions repeat the search
 in the orthogonal complement B of those found (deflation), on
@@ -117,24 +117,22 @@ def _step(cumulant: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("bir,bijr->bjr", c, blocks)
 
 
-def _climb(cumulant: np.ndarray, c: np.ndarray, running: np.ndarray, steps: int,
-           step: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _climb(cumulant: np.ndarray, c: np.ndarray, running: np.ndarray,
+           steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``steps`` power steps c <- normalize(K' (c (x) c)) of the running
     columns of c (b, m, R) under each cumulant K of a stack (b, m^2, m), while
-    any runs, the first from the product ``step`` if given: the new c and
-    which columns still run. A column stops, keeping its value, once its step
-    is within CONVERGENCE_TOL or is zero."""
+    any runs: the new c and which columns still run. A column stops, keeping
+    its value, once its step is within CONVERGENCE_TOL or is zero."""
     for _ in range(steps):
         if not running.any():
             break
-        if step is None:
-            step = _step(cumulant, c)
+        step = _step(cumulant, c)
         norm = np.linalg.norm(step, axis=1)
         # zero step: c is stationary (exactly symmetric data), keep it, stop
         moving = running & (norm > 0.0)
         step = np.divide(step, norm[:, None], out=c.copy(), where=moving[:, None])
         running = moving & ~(np.linalg.norm(step - c, axis=1) < CONVERGENCE_TOL)
-        c, step = step, None
+        c = step
     return c, running
 
 
@@ -147,28 +145,29 @@ def _search(cumulant: np.ndarray,
 
     Two climbs around one cut (successive halving): all restarts climb
     SCREEN_STEPS steps, then each cumulant's SURVIVORS of largest |skewness|,
-    in start order, climb the rest from the product that scored them. The
-    cut happens iff iterations > SCREEN_STEPS and there are more than
-    SURVIVORS restarts, even when all have stopped. A climb steps every
-    column while any runs, and a stopped entry keeps its value, so each
-    result is, to the bit, the one its cumulant gets alone. A restart
-    dropped at the cut counts as converged only if it had stopped.
+    in start order, climb the rest. One full-width step scores the cut, and
+    the second climb steps the kept columns afresh: a column's step has the
+    bits it had in the full-width one, except in that product's last R mod 8
+    columns, which BLAS's edge kernel computes (tests/test_projection.py
+    checks the rest). The cut happens iff iterations > SCREEN_STEPS and there
+    are more than SURVIVORS restarts, even when all have stopped. A climb
+    steps every column while any runs, and a stopped entry keeps its value,
+    so each result is, to the bit, the one its cumulant gets alone. A
+    restart dropped at the cut counts as converged only if it had stopped.
     """
     c = _restart_directions(cumulant)
     b, _, r = c.shape
     kept = np.broadcast_to(np.arange(r), (b, r))
     c, running = _climb(cumulant, c, np.ones((b, r), dtype=bool), min(iterations, SCREEN_STEPS))
-    step, dropped = None, 0  # dropped: restarts that stopped, then were cut
+    dropped = 0  # restarts that stopped, then were cut
     if iterations > SCREEN_STEPS and r > SURVIVORS:
-        # the skewness c . K'(c (x) c) comes from the product the second climb starts from
-        step = _step(cumulant, c)
-        gamma = np.einsum("bhr,bhr->br", c, step)
+        gamma = np.einsum("bhr,bhr->br", c, _step(cumulant, c))
         kept = np.sort(np.argsort(-np.abs(gamma), axis=1, kind="stable")[:, :SURVIVORS], axis=1)
-        c, step = (np.take_along_axis(a, kept[:, None], axis=2) for a in (c, step))
+        c = np.take_along_axis(c, kept[:, None], axis=2)
         dropped = (~running).sum(axis=1)
         running = np.take_along_axis(running, kept, axis=1)
         dropped -= (~running).sum(axis=1)
-    c, running = _climb(cumulant, c, running, iterations - SCREEN_STEPS, step)
+    c, running = _climb(cumulant, c, running, iterations - SCREEN_STEPS)
     gamma = np.einsum("bhr,bhr->br", c, _step(cumulant, c))
     # deterministic reduction: larger |skewness| wins, the earliest restart
     # breaks ties

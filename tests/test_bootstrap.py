@@ -141,11 +141,12 @@ def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
                                   f"still singular after {MAX_REDRAWS} redraws")
 
 
-@pytest.mark.parametrize("measure", ["Mardia", "Partial"])
+@pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("dataset", ["iris", "square"])
 def test_results_do_not_depend_on_the_block_size(iris, monkeypatch, measure, dataset):
     # blocks of 1, 7, 27 and 500 resamples draw the same rows; on SQUARE, at
-    # d + 1 (Mardia) or d + 2 (Partial) units, they also redraw the same ones
+    # d + 1 (Mardia, Directional) or d + 2 (Partial) units, they also redraw
+    # the same ones
     data = iris if dataset == "iris" else SQUARE
     units = 150 if dataset == "iris" else data.d + (2 if measure == "Partial" else 1)
     results = []

@@ -363,7 +363,7 @@ def test_max_skew_search_column_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(projection, "_step", counted)
     max_skew(gamma_mixed(5, 300, 6), iterations=50, components=3)
-    assert (len(widths), sum(widths)) == (122, 2096)
+    assert (len(widths), sum(widths)) == (125, 2144)
 
 
 @pytest.mark.parametrize("d", [32, 64])
@@ -447,6 +447,29 @@ def test_step_products_contract_over_m(m, monkeypatch):
     assert sum(np.prod(b[:-2]) * b[-1] for _, b in products) == 2 * c.shape[2]
     for a, b in products:
         assert a[-1] == b[-2] == m
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 8, 31, 32, 47, 63, 64, 95, 96])
+def test_step_of_a_column_subset_is_that_subset_of_the_full_step(m):
+    # the second climb steps only the 16 kept columns of the first climb's
+    # starts, so a kept column's step must not depend on which others the
+    # product holds. Only columns the full product covers in whole groups of
+    # 8 are drawn: its last r % 8 columns (r = 4m + 8 is 4 mod 8 at odd m)
+    # go through BLAS's edge kernel, and at m = 47, 63 and 95 they change
+    # bits in a 16-column product (ROADMAP item 15)
+    rng = np.random.default_rng([31, m])
+    cumulant = moment_stack(whiten(rng.gamma(2.0, size=(2, 400, m)))[0])
+    c = projection._restart_directions(cumulant)
+    r = c.shape[2]
+    c = projection._climb(cumulant, c, np.ones((2, r), dtype=bool), projection.SCREEN_STEPS)[0]
+    full = projection._step(cumulant, c)
+    whole = r - r % 8
+    survivors = np.sort(np.argsort(rng.random((2, whole)), axis=1)[:, :projection.SURVIVORS])
+    for kept in survivors, np.arange(16), np.arange(whole - 16, whole):
+        kept = np.broadcast_to(kept, (2, 16))
+        part = np.take_along_axis(c, kept[:, None], axis=2)
+        expected = np.take_along_axis(full, kept[:, None], axis=2)
+        assert projection._step(cumulant, part).tobytes() == expected.tobytes()
 
 
 STEP_SCRIPT = """

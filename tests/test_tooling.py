@@ -1,8 +1,8 @@
 """Repository-level checks: the demos run, index layouts are built only in
 moments.py and cached read-only, modules share no private names, the public
 surface is the pinned list below, every function the benchmark traces and
-every name the docs give exists, and the benchmark's small job scripts pass
-its oracle."""
+every name the docs give exists, no module sets a bit generator's state, and
+the benchmark's small job scripts pass its oracle."""
 
 import ast
 import functools
@@ -147,6 +147,22 @@ def test_no_unused_imports():
                  if path.name != "__init__.py"
                  for name in _unused_imports(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _state_assignments(tree: ast.AST) -> list[int]:
+    """Lines that assign an attribute named ``state``, alone or in a tuple."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "state" and isinstance(node.ctx, ast.Store)]
+
+
+def test_no_generator_state_is_set():
+    # every draw starts from Philox(key=..., counter=...), as the README lays
+    # it out, so no module rewinds a bit generator through its state
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py"))
+                 if (lines := _state_assignments(ast.parse(path.read_text())))}
+    assert offenders == {}
+    assert _state_assignments(ast.parse("g.state = s\na, g.state = t\ng.state['x'] = 1\n"
+                                        "x = g.state\nstate = 1")) == [1, 2]
 
 
 def _environment_reads(tree: ast.AST) -> list[str]:
