@@ -3,7 +3,7 @@
 All measures share the 1/n moment convention, the row sums
 (``data.column_sums``) and the constant-column rule of :mod:`mvskew.data`.
 Mardia's skewness takes one of two routes, chosen from (n, d) alone: the
-weighted squares of the distinct third-moment entries, at about n d^3 / 2
+sum of the d^3 squares of the standardized third moment, at about n d^3 / 2
 flops, or, when GRAM_RATIO * n <= d^2, the sum of (z_i' z_j)^3 over the
 Mahalanobis Gram matrix of the whitened rows, at about n^2 d.
 Parametric p-values assume normal data and a large sample: the Mardia
@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import (PreconditionError, SingularityError, as_data_matrix, centered, column_sums,
                    constant_columns, require_count, require_finite_moments)
-from .moments import third_entries, triple_layout
+from .moments import moment_stack
 from .projection import directional_values, require_two_variables
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # mardia_values sums (z_i' z_j)^3 over the Gram matrix of a set of n whitened
-# rows in d variables when GRAM_RATIO * n <= d^2, and the third-moment entries
+# rows in d variables when GRAM_RATIO * n <= d^2, and the third moment
 # otherwise: on one BLAS thread, the Gram route was the faster in every
 # measured cell of d in {4, 8, 16, 32, 64} with d + 2 <= n <= d^2 / 4, alone
 # and in bootstrap-sized stacks, and the slower in some cells past d^2 / 2
@@ -143,8 +143,8 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
     With few rows next to d^2 (``GRAM_RATIO * n <= d^2``), it is
     (1/n^2) sum_ij (z_i' z_j)^3 (Mardia 1970), summed over blocks of
     ``max(1, GRAM_ELEMENTS // n)`` rows i of the Gram matrix. Otherwise it
-    is the sum, over the distinct entries of the third moment, of each
-    entry's multiplicity times its square. The two agree to a few ulps.
+    is the definition, the sum of the d^3 squares of the third moment. The
+    two agree to a few ulps.
 
     The route and the row blocks depend on (n, d) alone, and numpy sums each
     slice's contiguous row of terms by itself, so a slice has the same value
@@ -153,8 +153,9 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
     """
     n, d = z.shape[-2:]
     if not _gram_route(n, d):
-        entries = third_entries(z)
-        return (triple_layout(d)[1] * entries**2).sum(axis=-1)
+        squares = moment_stack(z)**2
+        # an explicit length: a stack of no row sets has no -1 to infer
+        return squares.reshape(z.shape[:-2] + (d**3,)).sum(axis=-1)
     size = max(1, GRAM_ELEMENTS // n)
     sums = 0.0
     for start in range(0, n, size):

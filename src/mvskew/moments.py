@@ -10,13 +10,12 @@ sorted-index value into every permuted slot.
 The sample moment is summed over fixed blocks of rows, a block size that
 depends on d alone, from the d(d+1)/2 distinct pairwise products x_i x_j,
 i <= j. No n x d^2 array of pairwise products is built, and a row set's
-moment has the same bits alone as in a stack of row sets. From those sums
-the kernel keeps the d(d+1)(d+2)/6 distinct entries m[i,j,h], i <= j <= h;
-a consumer that needs the matrix fills every slot from its sorted triple,
-so a computed moment is exactly symmetric by construction. The finiteness
-and symmetry checks run only in the ThirdMomentMatrix constructor, which
-third_moment and matrices from elsewhere pass through (load_third_moment,
-transform_third, cumulant_from_moments); the stacked routes never do.
+moment has the same bits alone as in a stack of row sets. Every slot
+(i,j,h) reads the pair sum of its sorted triple, so a computed moment is
+exactly symmetric by construction. The finiteness and symmetry checks run
+only in the ThirdMomentMatrix constructor, which third_moment and matrices
+from elsewhere pass through (load_third_moment, transform_third,
+cumulant_from_moments); the stacked routes never do.
 """
 
 from __future__ import annotations
@@ -53,8 +52,9 @@ def _canonical(values: np.ndarray) -> np.ndarray:
     SYMMETRY_RTOL relative. Output is exactly invariant under index
     permutations."""
     require_finite(values)
-    _, _, fill, slots = triple_layout(values.shape[1])
-    canon = values.ravel()[slots][fill].reshape(values.shape)
+    d = values.shape[1]
+    first, second, _ = pair_layout(d)
+    canon = values[first * d + second].ravel()[triple_layout(d)].reshape(values.shape)
     if np.abs(canon - values).max() > SYMMETRY_RTOL * max(np.abs(values).max(), 1.0):
         raise DataError("matrix violates third-moment index symmetry")
     return canon
@@ -82,30 +82,33 @@ def pair_products(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 @functools.cache
-def triple_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The d(d+1)(d+2)/6 sorted index triples (i, j, h), i <= j <= h, in
-    lexicographic order: for each, its position in the flat (d(d+1)/2, d)
-    array of pair sums (row (i, j), column h) and its multiplicity 1, 3 or 6
-    among the d^3 slots; then, for each slot of a flat (d, d, d) tensor, the
-    position of its sorted triple; and for each sorted triple, its slot."""
-    indices = np.sort(np.indices((d, d, d)).reshape(3, -1), axis=0)
-    slots, fill = np.unique(np.ravel_multi_index(indices, (d, d, d)), return_inverse=True)
-    i, j, h = np.unravel_index(slots, (d, d, d))
-    position = pair_layout(d)[2][i * d + j] * d + h
-    weight = np.where(i == h, 1.0, np.where((i == j) | (j == h), 3.0, 6.0))
-    for array in (position, weight, fill, slots):
-        array.setflags(write=False)
-    return position, weight, fill, slots
+def triple_layout(d: int) -> np.ndarray:
+    """For each slot (i, j, h) of a flat (d, d, d) tensor, the position of
+    its sorted triple (low, mid, high) in the flat (d(d+1)/2, d) array of
+    pair sums: row (low, mid) of pair_layout(d), column high."""
+    i, j, h = np.indices((d, d, d), sparse=True)
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    # the middle of three indices is the third clipped to the other two
+    position = pair_layout(d)[2][np.minimum(low, h) * d + np.clip(h, low, high)]
+    position *= d
+    position += np.maximum(high, h)
+    position = position.ravel()
+    position.setflags(write=False)
+    return position
 
 
-def third_entries(rows: np.ndarray) -> np.ndarray:
-    """The (..., d(d+1)(d+2)/6) distinct entries m_ijh, i <= j <= h, ordered
-    as in triple_layout(d), of the average of x (x) x' (x) x over the rows of
-    each row set in a stack (..., n, d).
+def moment_stack(rows: np.ndarray) -> np.ndarray:
+    """Third moments of each row set in a stack (..., n, d), as a (..., d^2, d)
+    array: the average of x (x) x' (x) x over the rows of each set.
 
     Sums pairs' @ block over blocks of max(64, 2^14 // d^2) rows, a rule in d
-    alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j; entry
-    (i, j, h) is then the sum in row (i, j), column h, over n.
+    alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j; slot
+    (i, j, h) then reads the sum in row (low, mid), column high, of its
+    sorted triple, over n.
+
+    Slice k is, to the bit, what ThirdMomentMatrix stores for ``rows[k]``
+    alone; for the whitened rows of x, that is
+    ``third_moment(x, "standardized").values``.
     """
     n, d = rows.shape[-2:]
     size = max(64, 2**14 // (d * d))
@@ -116,21 +119,8 @@ def third_entries(rows: np.ndarray) -> np.ndarray:
         sums = sums + pair_products(columns, -2) @ block
     # an explicit length: a stack of no row sets has no -1 to infer
     flat = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * d,))
-    return np.take(flat, triple_layout(d)[0], axis=-1) / n
-
-
-def moment_stack(rows: np.ndarray) -> np.ndarray:
-    """Third moments of each row set in a stack (..., n, d), as a (..., d^2, d)
-    array, every slot filled from its sorted triple of third_entries(rows).
-
-    Slice k is, to the bit, what ThirdMomentMatrix stores for ``rows[k]``
-    alone; for the whitened rows of x, that is
-    ``third_moment(x, "standardized").values``.
-    """
-    d = rows.shape[-1]
-    entries = third_entries(rows)
-    filled = np.take(entries, triple_layout(d)[2], axis=-1)
-    return filled.reshape(entries.shape[:-1] + (d * d, d))
+    filled = np.take(flat, triple_layout(d), axis=-1) / n
+    return filled.reshape(sums.shape[:-2] + (d * d, d))
 
 
 @dataclass(frozen=True)
@@ -235,10 +225,9 @@ def transform_third(m3: ThirdMomentMatrix, a) -> ThirdMomentMatrix:
     zero).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[1] != m3.d:
-        raise DataError(
-            f"transform has {a.shape[1]} columns, moment dimension is {m3.d}"
-        )
+    if a.ndim != 2 or not a.shape[0] or a.shape[1] != m3.d:
+        raise DataError(f"transform must be a 2-d array of k >= 1 rows and {m3.d} columns, "
+                        f"got shape {a.shape}")
     values = m3.tensor()
     for _ in range(3):
         # contract the leading index with A; the new index goes last, so after

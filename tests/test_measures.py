@@ -134,9 +134,15 @@ def test_mardia_two_paths_agree(iris, mardia_pairwise):
 
 
 def test_mardia_frobenius_identity(iris):
-    # the value is the squared Frobenius norm of the standardized cumulant
-    k3z = third_moment(iris, "standardized").values
-    assert abs(mardia_skewness(iris).value - (k3z**2).sum()) < 1e-12
+    # with 4n > d^2 the value is, to the bit, the squared Frobenius norm of
+    # the standardized cumulant as numpy sums it
+    rng = np.random.default_rng(5)
+    samples = [iris.values] + [rng.gamma(2.0, size=(n, d))
+                               for d in (2, 3, 5, 8, 16) for n in (80, 200, 1000)]
+    for x in samples:
+        assert not measures._gram_route(*x.shape)
+        k3z = third_moment(x, "standardized").values
+        assert mardia_skewness(x).value == (k3z**2).sum()
 
 
 def _whitened(rng, shape):

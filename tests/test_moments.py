@@ -24,7 +24,6 @@ from mvskew.moments import (
     SYMMETRY_RTOL,
     moment_stack,
     pair_layout,
-    third_entries,
     triple_layout,
 )
 
@@ -147,7 +146,7 @@ def test_third_moment_never_holds_the_pair_array():
 
 
 # ---------------------------------------------------------------------------
-# distinct entries: the d(d+1)(d+2)/6 sums m_ijh, i <= j <= h, and their fill
+# the pair sums and the one map that fills every slot from them
 # ---------------------------------------------------------------------------
 
 def _block_size(d):
@@ -175,27 +174,21 @@ def test_layouts_are_those_of_plain_loops(d):
     assert list(zip(first.tolist(), second.tolist())) == list(pairs)
     assert slot.tolist() == [pairs[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
 
-    triples = {t: k for k, t in enumerate(
-        (i, j, h) for i in range(d) for j in range(i, d) for h in range(j, d))}
-    position, weight, fill, slots = triple_layout(d)
-    assert position.tolist() == [pairs[i, j] * d + h for i, j, h in triples]
-    assert weight.tolist() == [len(set(permutations(t))) for t in triples]
-    assert fill.tolist() == [triples[tuple(sorted((i, j, h)))]
-                             for i in range(d) for j in range(d) for h in range(d)]
-    assert slots.tolist() == [(i * d + j) * d + h for i, j, h in triples]
-    assert [a.dtype for a in (first, second, slot, position, weight, fill, slots)] == (
-        [np.dtype(np.intp)] * 4 + [np.dtype(float)] + [np.dtype(np.intp)] * 2)
+    position = triple_layout(d)
+    assert position.tolist() == [pairs[t[0], t[1]] * d + t[2]
+                                 for t in (sorted((i, j, h)) for i in range(d)
+                                           for j in range(d) for h in range(d))]
+    assert [a.dtype for a in (first, second, slot, position)] == [np.dtype(np.intp)] * 4
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
 def test_triple_weights_count_the_slots(d):
-    position, weight, fill, slots = triple_layout(d)
-    assert position.size == weight.size == slots.size == d * (d + 1) * (d + 2) // 6
-    assert weight.sum() == d**3
-    # each distinct triple's weight is how many slots the fill maps to it
-    assert np.array_equal(np.bincount(fill, minlength=weight.size), weight)
-    # and the fill maps each distinct triple's own slot to it
-    assert np.array_equal(fill[slots], np.arange(slots.size))
+    # the d^3 slots read d(d+1)(d+2)/6 distinct cells of the pair sums, each
+    # as often as its triple has distinct orderings: 1, 3 or 6 times
+    cells, reads = np.unique(triple_layout(d), return_counts=True)
+    assert cells.size == d * (d + 1) * (d + 2) // 6
+    assert set(reads.tolist()) <= {1, 3, 6}
+    assert reads.sum() == d**3
 
 
 @pytest.mark.parametrize("d", [3, 8, 32])
@@ -207,14 +200,6 @@ def test_fill_is_exactly_index_symmetric(d):
     # the constructor's canonical map leaves a filled moment's bits alone
     assert np.array_equal(ThirdMomentMatrix(moment_stack(rows[0]), "raw").values,
                           moment_stack(rows[0]))
-
-
-def test_distinct_entries_are_the_matrix_at_sorted_triples():
-    d = 5
-    rows = np.random.default_rng(3).gamma(2.0, size=(40, d))
-    tensor = third_moment(rows, "raw").tensor()
-    triples = [(i, j, h) for i in range(d) for j in range(i, d) for h in range(j, d)]
-    assert third_entries(rows).tolist() == [tensor[t] for t in triples]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -374,6 +359,17 @@ def test_transform_kind_handling(iris):
 def test_transform_dimension_mismatch(iris):
     with pytest.raises(DataError, match="columns"):
         transform_third(third_moment(iris, "central"), np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3, 2), (2, 3, 1)])
+def test_transform_must_be_a_matrix_of_rows(shape):
+    m3 = third_moment(np.random.default_rng(2).gamma(2.0, size=(30, 3)), "raw")
+    message = re.escape(f"transform must be a 2-d array of k >= 1 rows and 3 columns, "
+                        f"got shape {shape}")
+    with pytest.raises(DataError, match=f"^{message}$"):
+        transform_third(m3, np.ones(shape))
+    # one row may come as a vector
+    assert transform_third(m3, np.ones(3)).values.shape == (1, 1)
 
 
 # ---------------------------------------------------------------------------

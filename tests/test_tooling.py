@@ -1,8 +1,8 @@
 """Repository-level checks: the demos run, index layouts are built only in
-moments.py and cached read-only, modules share no private names, the public
-surface is the pinned list below, every function the benchmark traces and
-every name the docs give exists, no module sets a bit generator's state, and
-the benchmark's small job scripts pass its oracle."""
+moments.py, without a sort, and cached read-only, modules share no private
+names, the public surface is the pinned list below, every function the
+benchmark traces and every name the docs give exists, no module sets a bit
+generator's state, and the benchmark's small job scripts pass its oracle."""
 
 import ast
 import functools
@@ -72,10 +72,10 @@ def test_import_builds_no_format_table():
 @pytest.mark.parametrize("d", range(1, 7))
 def test_cached_layouts_are_read_only(d):
     # every caller gets the same cached arrays, so none may write to them
-    arrays = (*mvskew.moments.pair_layout(d), *mvskew.moments.triple_layout(d),
+    arrays = (*mvskew.moments.pair_layout(d), mvskew.moments.triple_layout(d),
               *mvskew.data._digit_table())
-    assert len(arrays) == 9
-    assert [array.flags.writeable for array in arrays] == [False] * 9
+    assert len(arrays) == 6
+    assert [array.flags.writeable for array in arrays] == [False] * 6
 
 
 def test_index_layouts_are_built_only_in_moments():
@@ -86,6 +86,16 @@ def test_index_layouts_are_built_only_in_moments():
                          and getattr(node.value, "id", None) == "np"}
              for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in homes.items() if found} == {"moments.py": builders}
+
+
+def test_moments_builds_layouts_without_sorting():
+    # the layouts are built in closed form, at O(d^3) per width: moments.py
+    # calls no sort, unique or multi-index conversion
+    sorters = {"sort", "unique", "ravel_multi_index", "unravel_index"}
+    tree = ast.parse((SRC / "moments.py").read_text())
+    assert {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "np"} & sorters == set()
 
 
 def test_pair_order_is_read_only_in_moments():
