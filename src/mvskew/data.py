@@ -264,12 +264,13 @@ def _inv_root(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     return (root + np.swapaxes(root, -1, -2)) / 2.0
 
 
-def _is_number(cell: str) -> bool:
+def is_number(cell: str) -> bool:
     """Whether numpy's text parser reads the cell as a float.
 
     That is what ``float`` accepts, less digit separators and non-ASCII
     digits: ``1.5``, ``-2e3``, ``nan`` and ``inf`` are numbers, ``1_000``
-    and ``NA`` are not.
+    and ``NA`` are not. It is the number grammar of every file read, by
+    :func:`load_csv` and by ``moments.load_third_moment``.
     """
     cell = cell.strip()
     if not cell.isascii() or "_" in cell:
@@ -298,11 +299,11 @@ def _raise_fault(path: Path, header: bool, keep: list[int] | None) -> None:
             )
     body = rows[int(header):]
     if keep is None:
-        keep = [j for j in range(width) if any(_is_number(row[j]) for row in body)]
+        keep = [j for j in range(width) if any(is_number(row[j]) for row in body)]
     for i, row in enumerate(body):
         for j in keep:
             cell = row[j].strip()
-            if not (_is_number(cell) and math.isfinite(float(cell))):
+            if not (is_number(cell) and math.isfinite(float(cell))):
                 raise DataError(
                     f"{path}: non-numeric cell {cell!r} at row "
                     f"{i + 1 + int(header)}, column {j + 1}"
@@ -351,7 +352,7 @@ def _parse(path: Path, header: bool, skip: int, width: int, keep: list[int],
             encoding="utf-8-sig", ndmin=1, dtype=record)
         if auto:
             labels = (set(table[f"f{j}"]) for j in range(width) if j not in keep)
-            if any(_is_number(label) for column in labels for label in column):
+            if any(is_number(label) for column in labels for label in column):
                 raise ValueError("a number in a label column")
         values = np.empty((len(table), len(keep)))
         for i, j in enumerate(keep):
@@ -494,7 +495,7 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
             if first is None:
                 raise DataError(f"{path}: file is empty")
             if header is None:
-                header = not all(_is_number(cell) for cell in first)
+                header = not all(is_number(cell) for cell in first)
             skip = reader.line_num if header else 0
             sample = next(rows, None) if header else first
 
@@ -505,7 +506,7 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
             raise DataError(f"{path}: no data rows")
 
         if columns is None:
-            keep = [j for j, cell in enumerate(sample[:width]) if _is_number(cell)]
+            keep = [j for j, cell in enumerate(sample[:width]) if is_number(cell)]
         else:
             keep = _resolve_columns(columns, names)
             if not keep:

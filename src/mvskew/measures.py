@@ -153,7 +153,8 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
     """
     n, d = z.shape[-2:]
     if not _gram_route(n, d):
-        squares = moment_stack(z)**2
+        squares = moment_stack(z)
+        squares *= squares
         # an explicit length: a stack of no row sets has no -1 to infer
         return squares.reshape(z.shape[:-2] + (d**3,)).sum(axis=-1)
     size = max(1, GRAM_ELEMENTS // n)

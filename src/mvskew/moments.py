@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (DataError, PreconditionError, as_data_matrix, centered, format_matrix,
-                   require_count, require_finite)
+                   is_number, require_count, require_finite, require_finite_moments)
 
 __all__ = [
     "KINDS",
@@ -119,7 +119,8 @@ def moment_stack(rows: np.ndarray) -> np.ndarray:
         sums = sums + pair_products(columns, -2) @ block
     # an explicit length: a stack of no row sets has no -1 to infer
     flat = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * d,))
-    filled = np.take(flat, triple_layout(d), axis=-1) / n
+    filled = np.take(flat, triple_layout(d), axis=-1)
+    filled /= n
     return filled.reshape(sums.shape[:-2] + (d * d, d))
 
 
@@ -171,7 +172,8 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
     Returns
     -------
     ThirdMomentMatrix
-        With 1/n weights, exactly index-symmetric.
+        With 1/n weights, exactly index-symmetric. A moment that overflows
+        a double raises DataError naming a column of its entry.
     """
     data = as_data_matrix(data)
     if kind not in KINDS:
@@ -182,7 +184,10 @@ def third_moment(data, kind: str) -> ThirdMomentMatrix:
         rows = centered(data.values)[0]
     else:
         rows = data.whitening[0]
-    return ThirdMomentMatrix(moment_stack(rows), kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = moment_stack(rows)
+    require_finite_moments(values)
+    return ThirdMomentMatrix(values, kind)
 
 
 def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:
@@ -272,10 +277,12 @@ def load_third_moment(path) -> ThirdMomentMatrix:
                 if key.strip() == "kind":
                     kind = val.strip()
                 continue
-            try:
-                rows.append([float(cell) for cell in line.split(",")])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {number}: {exc}") from None
+            cells = line.split(",")
+            for cell in cells:
+                if not is_number(cell):
+                    raise DataError(f"{path}: line {number}: could not convert string to "
+                                    f"float: {cell!r}")
+            rows.append([float(cell) for cell in cells])
             if len(rows[-1]) != len(rows[0]):
                 raise DataError(f"{path}: line {number}: {len(rows[-1])} cells, "
                                 f"expected {len(rows[0])}")

@@ -374,6 +374,18 @@ def test_overflowing_moments_exit_1(tmp_path, capsys, scale, measure):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["raw", "central"])
+def test_overflowing_third_moment_exit_1(tmp_path, capsys, kind):
+    path = tmp_path / "huge.csv"
+    values = np.random.default_rng(0).gamma(2, size=(50, 3)) * [1, 1, 1e110]
+    path.write_text("a,b,c\n" + format_matrix(values, 17))
+    code = main(["third", str(path), "--kind", kind, "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "mvskew: the moments of column 3 overflow a double; rescale the column\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_utf8_file_exit_1(tmp_path, capsys):
     path = tmp_path / "latin.csv"
     path.write_bytes("a,b,name\n1,2,caf\xe9\n3,5,x\n4,1,y\n".encode("latin-1"))

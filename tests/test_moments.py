@@ -259,6 +259,16 @@ def test_third_moment_refuses_an_unknown_kind(iris):
         third_moment(iris, "bogus")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["raw", "central"])
+def test_third_moment_names_the_column_whose_moments_overflow(kind):
+    # only m[3,3,3] passes a double, so the named column is the data's own
+    x = np.random.default_rng(0).gamma(2, size=(50, 3)) * [1, 1, 1e110]
+    message = "the moments of column 3 overflow a double; rescale the column"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        third_moment(x, kind)
+
+
 # ---------------------------------------------------------------------------
 # cumulant identity
 # ---------------------------------------------------------------------------
@@ -415,6 +425,16 @@ def test_load_names_a_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# kind=raw\n1.0\n\nx\n")
     message = f"{path}: line 4: could not convert string to float: 'x'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_third_moment(path)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_load_reads_numbers_as_load_csv_does(tmp_path, cell):
+    # digit separators and non-ASCII digits, which float() accepts, are refused
+    path = tmp_path / "grammar.csv"
+    path.write_text(f"# kind=raw\n{cell}\n", encoding="utf-8")
+    message = f"{path}: line 2: could not convert string to float: {cell!r}"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)
 

@@ -1,7 +1,8 @@
 """Repository-level checks: the demos run, index layouts are built only in
 moments.py, without a sort, and cached read-only, modules share no private
 names, the public surface is the pinned list below, every function the
-benchmark traces and every name the docs give exists, no module sets a bit
+benchmark traces and every name the docs give exists, the README's quick
+start reports the search diagnostics its comments state, no module sets a bit
 generator's state, and the benchmark's small job scripts pass its oracle."""
 
 import ast
@@ -42,6 +43,22 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_quick_start_states_its_search_diagnostics(monkeypatch):
+    # the README's first python block runs from the repository root, and the
+    # restarts, converged and winners its comments state are max_skew's
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+    stated = [re.search(pattern, block, re.M) for pattern in (
+        r"^basis\.restarts, basis\.converged +# (\(.*?\)), (\(.*?\)):",
+        r"^basis\.winners +# (\(.*?\)):")]
+    assert all(stated)
+    scope = {}
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), scope)
+    basis = scope["basis"]
+    assert (basis.restarts, basis.converged, basis.winners) == tuple(
+        ast.literal_eval(text) for match in stated for text in match.groups())
 
 
 def test_each_test_has_its_own_cache_home(tmp_path, cache_home, monkeypatch):
