@@ -15,9 +15,10 @@ K is index-symmetric, so K' (c (x) c) = sum_i c_i (K_i c) over its m x m
 blocks K_i: one tall product K C that contracts over m, then a sum over i
 in einsum, which calls no BLAS. Its bits held at 1 and 2 BLAS threads at
 m = 64 and 128; at odd m the full-width step, 4m + 8 columns, changed them.
-max_skew searches one cumulant per component, the Directional bootstrap a
-block of resamples at once. Component j + 1 searches the corner [j:, j:, j:]
-of K rotated by an orthogonal R led by the j directions found (deflation).
+max_skew searches a stack of one cumulant per component, the Directional
+bootstrap a block of resamples at once. Later directions repeat the search
+in the orthogonal complement B of those found (deflation), on
+transform_third(K, B'), which keeps the projections exactly uncorrelated.
 require_two_variables is the one rule that a set has 2 variables or more:
 max_skew, min_skew, directional_skewness and the Directional skew_boot call it.
 """
@@ -216,18 +217,17 @@ def max_skew(data, iterations: int, components: int) -> ProjectionBasis:
     require_two_variables("max_skew", data.d)
     require_count("iterations", iterations, 1)
     require_count("components", components, 1, data.d - 1)
-    cumulant = third_moment(data, "standardized")
-    rotation = np.eye(data.d)  # the directions found, then a basis of their complement
+    cumulant = reduced = third_moment(data, "standardized")
+
+    basis = np.eye(data.d)  # orthonormal basis of the not-yet-searched subspace
     found = []
     for j in range(components):
-        # K rotated; first K itself, as a transform by I can make -0.0 +0.0
-        rotated = transform_third(cumulant, rotation.T) if j else cumulant
-        corner = rotated.tensor()[j:, j:, j:].reshape(-1, data.d - j)
-        (c,), (gamma,), tried, (settled,), (winner,) = _search(corner[None], iterations)
-        found.append((gamma, tried, int(settled), int(winner)))
-        # c, then its complement by c's complete QR, apart: BLAS rounds by product width
-        complement = np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
-        rotation[:, j:] = np.column_stack((rotation[:, j:] @ c, rotation[:, j:] @ complement))
-    gammas, restarts, converged, winners = zip(*found)
-    return ProjectionBasis.of(data, rotation[:, :components].copy(), np.array(gammas),
+        if j:  # K seen from the not-yet-searched subspace
+            reduced = transform_third(cumulant, basis.T)
+        (c,), (gamma,), tried, (settled,), (winner,) = _search(reduced.values[None], iterations)
+        found.append((basis @ c, gamma, tried, int(settled), int(winner)))
+        # shrink the search space to the orthogonal complement
+        basis = basis @ np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
+    columns, gammas, restarts, converged, winners = zip(*found)
+    return ProjectionBasis.of(data, np.column_stack(columns), np.array(gammas),
                               restarts=restarts, converged=converged, winners=winners)

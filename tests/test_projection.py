@@ -13,7 +13,7 @@ from mvskew import (
     standardize,
     third_moment,
 )
-from mvskew import moments, projection
+from mvskew import projection
 from mvskew.data import whiten
 from mvskew.moments import moment_stack
 
@@ -279,17 +279,7 @@ def test_max_skew_searches_component_1_on_k_itself(components, monkeypatch):
 
     monkeypatch.setattr(projection, "transform_third", counted)
     max_skew(gamma_mixed(6, 200, 5), iterations=20, components=components)
-    assert shapes == [(5, 5)] * (components - 1)
-
-
-def test_max_skew_builds_index_maps_at_one_width():
-    # later components search a corner of the rotated d-column cumulant, so
-    # no third-moment matrix, and no index map, exists at a smaller width
-    moments.triple_layout.cache_clear()
-    moments.pair_layout.cache_clear()
-    max_skew(gamma_mixed(8, 200, 7), iterations=20, components=4)
-    assert moments.triple_layout.cache_info().currsize == 1
-    assert moments.pair_layout.cache_info().currsize == 1
+    assert shapes == [(5 - j, 5) for j in range(1, components)]
 
 
 def test_max_skew_zero_cumulant_cube():
