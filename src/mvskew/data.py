@@ -10,7 +10,11 @@ This module owns the two conventions everything else inherits:
 :func:`load_csv` parses each file of at least CACHE_BYTES once: it keeps
 the parsed values under ``$XDG_CACHE_HOME/mvskew``, keyed by the sha256 of
 the file's bytes, the header and column request and the loader itself, and
-reads them back while all three are unchanged.
+reads them back while all three are unchanged. Every input file, a data CSV
+or a third-moment file (``moments.load_third_moment``), is read by one
+reader: :func:`utf8_errors` names a byte that is not UTF-8,
+:func:`leading_rows` reads the head, :func:`parse_columns` the cells in
+numpy's C parser, and ``_raise_fault`` names a ragged row or a bad cell.
 
 Every sum over rows of a column or a product of columns is one einsum in
 :func:`column_sums`, bit-identical to numpy's reduction over the row axis;
@@ -269,8 +273,7 @@ def is_number(cell: str) -> bool:
 
     That is what ``float`` accepts, less digit separators and non-ASCII
     digits: ``1.5``, ``-2e3``, ``nan`` and ``inf`` are numbers, ``1_000``
-    and ``NA`` are not. It is the number grammar of every file read, by
-    :func:`load_csv` and by ``moments.load_third_moment``.
+    and ``NA`` are not: the number grammar of every file read.
     """
     cell = cell.strip()
     if not cell.isascii() or "_" in cell:
@@ -282,32 +285,25 @@ def is_number(cell: str) -> bool:
     return True
 
 
-def _raise_fault(path: Path, header: bool, keep: list[int] | None) -> None:
-    """Raise a DataError naming the first ragged row or bad cell in the file.
+def _raise_fault(path: Path, header: bool, width: int, keep: list[int] | None) -> None:
+    """Raise a DataError naming the first row after the header not of ``width``
+    cells, or else the first bad cell; return when there is neither.
 
-    Runs only after numpy's parser refused the file, and returns no values.
-    ``keep`` lists the columns read; ``None`` classifies every column by
-    the label rule of :func:`load_csv`. Returns when it finds no fault.
+    Runs only after numpy's parser refused the file. ``keep`` lists the columns
+    read; ``None`` classifies every column by the label rule of :func:`load_csv`.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    width = len(rows[0])
-    for i, row in enumerate(rows):
+        body = [row for row in csv.reader(handle) if row][int(header):]
+    for i, row in enumerate(body, 1 + int(header)):
         if len(row) != width:
-            raise DataError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {width}"
-            )
-    body = rows[int(header):]
+            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
     if keep is None:
         keep = [j for j in range(width) if any(is_number(row[j]) for row in body)]
-    for i, row in enumerate(body):
+    for i, row in enumerate(body, 1 + int(header)):
         for j in keep:
             cell = row[j].strip()
             if not (is_number(cell) and math.isfinite(float(cell))):
-                raise DataError(
-                    f"{path}: non-numeric cell {cell!r} at row "
-                    f"{i + 1 + int(header)}, column {j + 1}"
-                )
+                raise DataError(f"{path}: non-numeric cell {cell!r} at row {i}, column {j + 1}")
 
 
 def _require_distinct(names: tuple[str, ...], where: str = "") -> None:
@@ -333,9 +329,40 @@ def _resolve_columns(columns, names: list[str]) -> list[int]:
     return out
 
 
-def _parse(path: Path, header: bool, skip: int, width: int, keep: list[int],
-           auto: bool) -> np.ndarray:
-    """The kept columns of the rows after the first ``skip`` lines, as floats.
+@contextlib.contextmanager
+def utf8_errors(path: Path):
+    """Turn a UnicodeDecodeError in the block into a DataError naming the
+    file's first byte that is not UTF-8 and its byte offset."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        # the decoder counts from the start of its read chunk: decode the
+        # whole file again for the offset in the file
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
+                f"byte offset {exc.start}"
+            ) from None
+        raise
+
+
+def leading_rows(path: Path) -> tuple[list[str] | None, list[str] | None, int]:
+    """The first two non-blank rows of a CSV file, None past its end, and
+    the number of lines up to the end of the first."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        rows = filter(None, reader)
+        first = next(rows, None)
+        lines = reader.line_num
+        return first, next(rows, None), lines
+
+
+def parse_columns(path: Path, header: bool, skip: int, width: int, keep: list[int],
+                  auto: bool) -> np.ndarray:
+    """The kept columns of the ``width``-cell rows after the first ``skip``
+    lines, as floats.
 
     With ``auto`` every column not kept is a label column, which must hold no
     number. Raises a DataError naming the first fault.
@@ -360,7 +387,7 @@ def _parse(path: Path, header: bool, skip: int, width: int, keep: list[int],
         if not np.isfinite(values).all():
             raise ValueError("a cell could not be read")
     except ValueError as exc:
-        _raise_fault(path, header, None if auto else keep)
+        _raise_fault(path, header, width, None if auto else keep)
         raise DataError(f"{path}: {exc}") from None
     return values
 
@@ -487,17 +514,13 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
         Selected columns in the requested order, row order preserved.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            rows = filter(None, reader)
-            first = next(rows, None)
-            if first is None:
-                raise DataError(f"{path}: file is empty")
-            if header is None:
-                header = not all(is_number(cell) for cell in first)
-            skip = reader.line_num if header else 0
-            sample = next(rows, None) if header else first
+    with utf8_errors(path):
+        first, second, lines = leading_rows(path)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        if header is None:
+            header = not all(is_number(cell) for cell in first)
+        skip, sample = (lines, second) if header else (0, first)
 
         width = len(first)
         names = ([cell.strip() for cell in first] if header
@@ -517,24 +540,13 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
             path, f"header={header} columns={'auto' if columns is None else keep}")
         data = _cache_load(cache[0], kept) if cache else None
         if data is None:
-            values = _parse(path, header, skip, width, keep, columns is None)
+            values = parse_columns(path, header, skip, width, keep, columns is None)
             if not keep:
                 raise DataError(f"{path}: no numeric columns found")
             data = DataMatrix(values, kept)
             if cache:
                 _cache_store(*cache, path, data.values)
         return data
-    except UnicodeDecodeError:
-        # the decoder counts from the start of its read chunk: decode the
-        # whole file again for the offset in the file
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
-                f"byte offset {exc.start}"
-            ) from None
-        raise
 
 
 @functools.cache

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (DataError, PreconditionError, as_data_matrix, centered, format_matrix,
-                   is_number, require_count, require_finite, require_finite_moments)
+                   leading_rows, parse_columns, require_count, require_finite,
+                   require_finite_moments, utf8_errors)
 
 __all__ = [
     "KINDS",
@@ -263,34 +264,21 @@ def save_third_moment(m3: ThirdMomentMatrix, path, precision: int = 17) -> None:
 
 
 def load_third_moment(path) -> ThirdMomentMatrix:
-    """Read a matrix written by :func:`save_third_moment`."""
+    """Read a matrix written by :func:`save_third_moment`: the ``# kind=`` line
+    first (blank lines aside), then rows read as ``load_csv`` reads those of a
+    headed file, in the same decoder, quoting, number grammar and messages."""
     path = Path(path)
-    kind = None
-    rows = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("#").strip().partition("=")
-                if key.strip() == "kind":
-                    kind = val.strip()
-                continue
-            cells = line.split(",")
-            for cell in cells:
-                if not is_number(cell):
-                    raise DataError(f"{path}: line {number}: could not convert string to "
-                                    f"float: {cell!r}")
-            rows.append([float(cell) for cell in cells])
-            if len(rows[-1]) != len(rows[0]):
-                raise DataError(f"{path}: line {number}: {len(rows[-1])} cells, "
-                                f"expected {len(rows[0])}")
-    if kind is None:
-        raise DataError(f"{path}: missing '# kind=' header line")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    with utf8_errors(path):
+        first, second, lines = leading_rows(path)
+        line = ",".join(first or []).strip()
+        key, _, kind = line.lstrip("#").partition("=")
+        if not line.startswith("#") or key.strip() != "kind":
+            raise DataError(f"{path}: missing '# kind=' header line")
+        if second is None:
+            raise DataError(f"{path}: no data rows")
+        d = len(second)
+        values = parse_columns(path, True, lines, d, list(range(d)), False)
     try:
-        return ThirdMomentMatrix(np.array(rows), kind)
+        return ThirdMomentMatrix(values, kind.strip())
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

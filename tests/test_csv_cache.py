@@ -31,7 +31,7 @@ def refuse_parse(monkeypatch):
     """Make any parse fail the test: the next load must be a hit."""
     def parse(*args):
         raise AssertionError("parsed a cached file")
-    monkeypatch.setattr(data, "_parse", parse)
+    monkeypatch.setattr(data, "parse_columns", parse)
 
 
 def bits(matrix) -> bytes:
@@ -95,7 +95,7 @@ def test_failed_parses_are_never_stored(tmp_path, cache_all, text, message):
 def test_file_changed_during_the_parse_is_not_stored(tmp_path, cache_all, monkeypatch):
     path = tmp_path / "in.csv"
     path.write_text("a,b\n1,2\n3,4\n")
-    parse = data._parse
+    parse = data.parse_columns
 
     def parse_then_append(*args):
         values = parse(*args)
@@ -103,7 +103,7 @@ def test_file_changed_during_the_parse_is_not_stored(tmp_path, cache_all, monkey
             handle.write("5,6\n")
         return values
 
-    monkeypatch.setattr(data, "_parse", parse_then_append)
+    monkeypatch.setattr(data, "parse_columns", parse_then_append)
     assert load_csv(path).n == 2
     assert entries(cache_all) == []
 

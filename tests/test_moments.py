@@ -13,6 +13,7 @@ from mvskew import (
     ThirdMomentMatrix,
     block,
     cumulant_from_moments,
+    load_csv,
     load_third_moment,
     save_third_moment,
     standardize,
@@ -424,7 +425,7 @@ def test_load_requires_kind_header(tmp_path):
 def test_load_names_a_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# kind=raw\n1.0\n\nx\n")
-    message = f"{path}: line 4: could not convert string to float: 'x'"
+    message = f"{path}: non-numeric cell 'x' at row 3, column 1"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)
 
@@ -434,7 +435,7 @@ def test_load_reads_numbers_as_load_csv_does(tmp_path, cell):
     # digit separators and non-ASCII digits, which float() accepts, are refused
     path = tmp_path / "grammar.csv"
     path.write_text(f"# kind=raw\n{cell}\n", encoding="utf-8")
-    message = f"{path}: line 2: could not convert string to float: {cell!r}"
+    message = f"{path}: non-numeric cell {cell!r} at row 2, column 1"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)
 
@@ -444,7 +445,7 @@ def test_load_reads_numbers_as_load_csv_does(tmp_path, cell):
 def test_load_rejects_a_non_finite_entry(tmp_path, cell):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"# kind=raw\n{cell}\n")
-    message = f"{path}: non-finite entry at row 1, column 1"
+    message = f"{path}: non-numeric cell {cell!r} at row 2, column 1"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)
 
@@ -467,6 +468,55 @@ def test_load_names_the_file_of_an_invalid_matrix(tmp_path, text, reason):
 def test_load_names_a_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("# kind=raw\n1\n2,3\n")
-    message = f"{path}: line 3: 2 cells, expected 1"
+    message = f"{path}: row 3 has 2 cells, expected 1"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_third_moment(path)
+
+
+@pytest.mark.parametrize("text", ["\ufeff# kind=raw\n2.5\n", '# kind=raw\n"2.5"\n'],
+                         ids=["byte-order-mark", "quoted"])
+def test_load_reads_text_as_load_csv_does(tmp_path, text):
+    path = tmp_path / "third.csv"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_third_moment(path)
+    assert (loaded.kind, loaded.values.tolist()) == ("raw", [[2.5]])
+
+
+@pytest.mark.parametrize("head", [b"# kind=raw\n", b"# kind=raw\n" + b"1\n" * 5000],
+                         ids=["data-row-1", "past-8-KiB"])
+def test_load_names_the_offset_of_a_byte_that_is_not_utf8(tmp_path, head):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(head + "caf\xe9\n".encode("latin-1"))
+    offset = len(head) + 3
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: not UTF-8 text: "
+                                        rf"byte 0xe9 at byte offset {offset}$"):
+        load_third_moment(path)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    *[(f"1,2\n3,{cell}\n", f"non-numeric cell {cell!r} at row 3, column 2")
+      for cell in ["x", "NA", "1_0", "nan", "1e999"]],
+    ("1,2\n3,4,5\n", "row 3 has 3 cells, expected 2"),
+], ids=["x", "NA", "1_0", "nan", "1e999", "ragged"])
+def test_both_loaders_name_a_fault_in_the_same_words(tmp_path, rows, reason):
+    # one header row, then the same rows: the fault is the same cell of each file
+    for head, load in [("a,b\n", load_csv), ("# kind=raw\n", load_third_moment)]:
+        path = tmp_path / f"{load.__name__}.csv"
+        path.write_text(head + rows)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+            load(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("kind", ["raw", "central", "standardized"])
+@pytest.mark.parametrize("d", [1, 2, 5, 33, 64])
+def test_save_load_roundtrip_is_bit_exact(tmp_path, d, kind, newline):
+    rng = np.random.default_rng(d)
+    x = rng.gamma(2.0, size=(2 * d + 20, d)) @ rng.normal(size=(d, d))
+    m3 = third_moment(x, kind)
+    path = tmp_path / "third.csv"
+    save_third_moment(m3, path, precision=17)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    loaded = load_third_moment(path)
+    assert loaded.kind == kind
+    assert loaded.values.tobytes() == m3.values.tobytes()

@@ -1,14 +1,16 @@
 """Repository-level checks: the demos run, index layouts are built only in
-moments.py, without a sort, and cached read-only, modules share no private
-names, the public surface is the pinned list below, every function the
-benchmark traces and every name the docs give exists, the README's quick
-start reports the search diagnostics its comments state, no module sets a bit
-generator's state, and the benchmark's small job scripts pass its oracle."""
+moments.py, without a sort, and cached read-only, text is parsed only in
+data.py, modules share no private names, the public surface is the pinned
+list below, every function the benchmark traces and every name the docs give
+exists, the README's quick start reports the search diagnostics its comments
+state, no module sets a bit generator's state, and the benchmark's small job
+scripts pass its oracle."""
 
 import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -144,6 +146,36 @@ def test_rows_are_centered_and_summed_only_in_data():
                  and (lines := _row_reductions(ast.parse(path.read_text())))}
     assert offenders == {}
     assert _row_reductions(ast.parse("x.mean(axis=0)\nx.sum(axis=-2)\nx.sum(axis=1)")) == [1, 2]
+
+
+def _text_parsing(tree: ast.AST) -> list[int]:
+    """Lines that name ``csv.reader``, ``np.loadtxt`` or ``is_number``, or call
+    ``.split(",")``."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and ast.unparse(node) in ("csv.reader", "np.loadtxt")
+                   or isinstance(node, (ast.Name, ast.alias))
+                   and getattr(node, "id", getattr(node, "name", None)) == "is_number"
+                   or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "split" and node.args
+                   and ast.unparse(node.args[0]) == "','"})
+
+
+def test_text_is_parsed_only_in_data():
+    # data.py's reader decodes, splits and reads the cells of every input
+    # file: a parse anywhere else would read numbers by its own rule. The
+    # --columns and --rows values are command-line text, which
+    # cli._parse_selection splits
+    source, start = inspect.getsourcelines(cli._parse_selection)
+    argument = {("cli.py", line) for line in range(start, start + len(source))}
+    offenders = {path.name: lines for path in sorted(SRC.glob("*.py"))
+                 if path.name != "data.py"
+                 and (lines := [line for line in _text_parsing(ast.parse(path.read_text()))
+                                if (path.name, line) not in argument])}
+    assert offenders == {}
+    sample = ("from .data import is_number\ncsv.reader(f)\nnp.loadtxt(p)\n"
+              "line.split(',')\nis_number(c)\nline.split()\nnp.load(p)")
+    assert _text_parsing(ast.parse(sample)) == [1, 2, 3, 4, 5]
 
 
 def test_no_module_imports_a_private_name_from_another():
