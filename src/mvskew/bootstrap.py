@@ -13,7 +13,7 @@ spawn_key=(attempt,)); its rows are floor(n*u) over the first ``units`` of
 them, relatively biased by at most n*2^-53 and never n. A singular resample
 is redrawn from the same counter steps under the next attempt's key, for up
 to MAX_REDRAWS attempts. So a block of max(1, BLOCK_ELEMENTS // (units *
-d^2)) replicates is one draw and no row depends on the block size.
+d(d+1)/2)) replicates is one draw and no row depends on the block size.
 A block's resamples are whitened and measured as one stack. Every
 value is bit-identical to the measure on its resample alone.
 """
@@ -38,8 +38,9 @@ DIRECTIONAL_ITERATIONS = 5
 # give up on a replicate after this many singular resamples
 MAX_REDRAWS = 100
 
-# a block holds max(1, BLOCK_ELEMENTS // (units * d^2)) resamples, so its
-# (block, units, d) stack of resampled rows holds at most 2^16 / d floats
+# a block holds max(1, BLOCK_ELEMENTS // (units * d(d+1)/2)) resamples: the
+# array of d(d+1)/2 pair products per row that moments.moment_stack forms for
+# a block of more than one resample holds at most 2^16 floats (512 KB)
 BLOCK_ELEMENTS = 2**16
 
 
@@ -114,7 +115,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     values = np.empty(replicates)
     redraws = 0
     steps = -(-int(units) // 4)  # Philox counter steps per replicate, 4 doubles each
-    size = max(1, BLOCK_ELEMENTS // (units * data.d**2))
+    size = max(1, BLOCK_ELEMENTS // (units * (data.d * (data.d + 1) // 2)))
     for start in range(0, replicates, size):
         pending = np.arange(start, min(start + size, replicates))  # no value yet
         for attempt in range(MAX_REDRAWS):
@@ -123,8 +124,12 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
             key = np.random.SeedSequence(seed, spawn_key=(attempt,)).generate_state(2, np.uint64)
             generator = np.random.Generator(np.random.Philox(key=key, counter=first * steps))
             u = generator.random((int(pending[-1]) + 1 - first, 4 * steps))
-            rows = (data.n * u[pending - first, :units]).astype(np.intp)
-            z, _, regular = whiten(data.values[rows])
+            # the draws and row indices are freed before the statistic: with
+            # them alive, a block's heap peak neared glibc's trim threshold,
+            # and some runs gave the heap back and refaulted it every block
+            z, _, regular = whiten(
+                data.values[(data.n * u[pending - first, :units]).astype(np.intp)])
+            del u
             values[pending[regular]] = statistic(z)
             pending = pending[~regular]
             redraws += len(pending)

@@ -9,8 +9,10 @@ sorted-index value into every permuted slot.
 
 The sample moment is summed over fixed blocks of rows, a block size that
 depends on d alone, from the d(d+1)/2 distinct pairwise products x_i x_j,
-i <= j. No n x d^2 array of pairwise products is built, and a row set's
-moment has the same bits alone as in a stack of row sets. Every slot
+i <= j, written in place into one array per block. No n x d^2 array of
+pairwise products is built, a block's pair array holds at most 2^16 doubles
+(512 KB) per row set while d <= 22, and a row set's moment has the same bits
+alone as in a stack of row sets. Every slot
 (i,j,h) reads the pair sum of its sorted triple, so a computed moment is
 exactly symmetric by construction. The finiteness and symmetry checks run
 only in the ThirdMomentMatrix constructor, which third_moment and matrices
@@ -73,13 +75,31 @@ def pair_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, slot.ravel()
 
 
-def pair_products(a: np.ndarray, axis: int) -> np.ndarray:
-    """The d(d+1)/2 products a_i a_j, i <= j, of the d entries along ``axis``
-    of a, in the order of pair_layout(d), along that axis."""
-    first, second, _ = pair_layout(a.shape[axis])
-    pairs = np.take(a, first, axis=axis)
-    pairs *= np.take(a, second, axis=axis)
-    return pairs
+def pair_products(rows: np.ndarray) -> np.ndarray:
+    """The d(d+1)/2 products x_i x_j, i <= j, of each row x of each (m, d)
+    block in a stack rows (..., m, d), in the order of pair_layout(d), as a
+    (..., d(d+1)/2, m) view of one array. A copy of the rows holds each
+    column, over the whole stack, as one run, and the pairs (i, j >= i) of
+    each i are one multiply of those runs written in place, so no gathered
+    copy is made."""
+    m, d = rows.shape[-2:]
+    size = d * (d + 1) // 2
+    columns = np.ascontiguousarray(np.moveaxis(rows, -1, 0)).reshape(d, -1)
+    pairs = np.empty((size, columns.shape[1]), dtype=rows.dtype)
+    start = 0
+    for i in range(d):
+        np.multiply(columns[i], columns[i:], out=pairs[start:start + d - i])
+        start += d - i
+    return np.moveaxis(pairs.reshape((size,) + rows.shape[:-2] + (m,)), 0, -2)
+
+
+def _block_rows(d: int) -> int:
+    """Rows per block of moment_stack's sums, a rule in d alone: as many as
+    keep a block's d(d+1)/2 pair rows within 2^16 doubles, and at least 256
+    from d = 23 on, so that the d multiplies of pair_products each span at
+    least 256 rows (at 2000 x 64, 64-row blocks took 1.2 to 1.5 times as
+    long)."""
+    return max(256, 2**16 // (d * (d + 1) // 2))
 
 
 @functools.cache
@@ -102,22 +122,22 @@ def moment_stack(rows: np.ndarray) -> np.ndarray:
     """Third moments of each row set in a stack (..., n, d), as a (..., d^2, d)
     array: the average of x (x) x' (x) x over the rows of each set.
 
-    Sums pairs' @ block over blocks of max(64, 2^14 // d^2) rows, a rule in d
-    alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j; slot
-    (i, j, h) then reads the sum in row (low, mid), column high, of its
-    sorted triple, over n.
+    Sums pairs' @ block over blocks of max(256, 2^16 // (d(d+1)/2)) rows, a
+    rule in d alone, for the d(d+1)/2 distinct pair columns x_i x_j, i <= j,
+    of pair_products; slot (i, j, h) then reads the sum in row (low, mid),
+    column high, of its sorted triple, over n. A block allocates a copy of
+    its columns and its pair array, each once.
 
     Slice k is, to the bit, what ThirdMomentMatrix stores for ``rows[k]``
     alone; for the whitened rows of x, that is
     ``third_moment(x, "standardized").values``.
     """
     n, d = rows.shape[-2:]
-    size = max(64, 2**14 // (d * d))
+    size = _block_rows(d)
     sums = 0.0
     for start in range(0, n, size):
         block = rows[..., start:start + size, :]
-        columns = np.ascontiguousarray(np.swapaxes(block, -1, -2))
-        sums = sums + pair_products(columns, -2) @ block
+        sums = sums + pair_products(block) @ block
     # an explicit length: a stack of no row sets has no -1 to infer
     flat = sums.reshape(sums.shape[:-2] + (sums.shape[-2] * d,))
     filled = np.take(flat, triple_layout(d), axis=-1)

@@ -40,6 +40,11 @@ def test_pvalue_bounds(iris):
 # one definition per statistic
 # ---------------------------------------------------------------------------
 
+def _pairs(d):
+    """Distinct pair products per row, d(d+1)/2, as the block rule counts them."""
+    return d * (d + 1) // 2
+
+
 def _own_value(data, seed, r, units, public):
     """The public value of replicate r's resample and its number of singular
     draws, replayed from the counter layout skew_boot draws from: attempt a
@@ -58,7 +63,7 @@ def _own_value(data, seed, r, units, public):
 
 
 # seeded gamma-mixed 400 x 16: a resample of 60 rows takes Mardia's Gram route
-# (4 * 60 <= 16^2), and a block holds 2^16 // (60 * 16^2) = 4 of them
+# (4 * 60 <= 16^2), and a block holds 2^16 // (60 * 136) = 8 of them
 GAMMA16 = DataMatrix(np.random.default_rng(16).gamma(2.0, size=(400, 16))
                      @ np.random.default_rng(17).standard_normal((16, 16)),
                      tuple(f"x{i}" for i in range(16)))
@@ -77,7 +82,7 @@ def test_statistics_are_the_public_measure_values(iris, measure, public, dataset
     data = GAMMA16 if dataset == "gamma16" else iris
     if data is GAMMA16:
         assert measures._gram_route(units, data.d)
-    block = BLOCK_ELEMENTS // (units * data.d**2)
+    block = BLOCK_ELEMENTS // (units * _pairs(data.d))
     assert block > 1
     replicates = 2 * block + block // 2
     result = skew_boot(data, replicates=replicates, units=units, measure=measure,
@@ -101,7 +106,7 @@ SQUARE = DataMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]),
 def test_redrawn_replicates_inside_a_block_keep_their_own_stream(measure, public,
                                                                  units):
     replicates = 12
-    assert BLOCK_ELEMENTS // (units * SQUARE.d**2) > replicates  # one block
+    assert BLOCK_ELEMENTS // (units * _pairs(SQUARE.d)) > replicates  # one block
     result = skew_boot(SQUARE, replicates=replicates, units=units, measure=measure,
                        seed=0)
     own = [_own_value(SQUARE, 0, r, units, public) for r in range(replicates)]
@@ -144,19 +149,22 @@ def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
 @pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("dataset", ["iris", "square"])
 def test_results_do_not_depend_on_the_block_size(iris, monkeypatch, measure, dataset):
-    # blocks of 1, 7, 27 and 500 resamples draw the same rows; on SQUARE, at
-    # d + 1 (Mardia, Directional) or d + 2 (Partial) units, they also redraw
-    # the same ones
+    # the default blocks (43 iris resamples; all 60 on SQUARE) and blocks of
+    # 1, 7, 27 and 500 resamples draw the same rows; on SQUARE, at d + 1
+    # (Mardia, Directional) or d + 2 (Partial) units, they also redraw the
+    # same ones, so every result field is the same
     data = iris if dataset == "iris" else SQUARE
     units = 150 if dataset == "iris" else data.d + (2 if measure == "Partial" else 1)
-    results = []
+    results = [skew_boot(data, replicates=60, units=units, measure=measure, seed=9)]
     for block in (1, 7, 27, 500):
-        monkeypatch.setattr(bootstrap, "BLOCK_ELEMENTS", block * units * data.d**2)
+        monkeypatch.setattr(bootstrap, "BLOCK_ELEMENTS", block * units * _pairs(data.d))
         results.append(skew_boot(data, replicates=60, units=units, measure=measure,
                                  seed=9))
     for result in results[1:]:
         assert result.replicates.tobytes() == results[0].replicates.tobytes()
         assert result.redraws == results[0].redraws
+        assert result.pvalue == results[0].pvalue
+        assert result.histogram == results[0].histogram
     assert (results[0].redraws > 0) == (dataset == "square")
 
 
@@ -220,6 +228,35 @@ def test_block_memory_stays_small(iris):
             tracemalloc.stop()
 
     assert peak(2000) - peak(1) < 2e6
+
+
+# seeded gamma-mixed 2000 x 32: one resample of 200 rows has 528 x 200 pair
+# products, more than BLOCK_ELEMENTS, so a block holds one resample
+WIDE = DataMatrix(np.random.default_rng(32).gamma(2.0, size=(2000, 32))
+                  @ np.random.default_rng(33).standard_normal((32, 32)),
+                  tuple(f"x{i}" for i in range(32)))
+
+
+@pytest.mark.parametrize("measure, public", [
+    ("Directional", lambda x: directional_skewness(x, DIRECTIONAL_ITERATIONS)),
+    ("Partial", partial_skewness),
+    ("Mardia", mardia_skewness),
+])
+def test_a_wide_block_stays_within_the_block_budget(measure, public):
+    # eight replicates in one-resample blocks peak within BLOCK_ELEMENTS
+    # doubles of the measure on the whole sample; a Directional block of two
+    # resamples would hold 2 * 528 * 200 pair products, over 3 * BLOCK_ELEMENTS
+    def peak(run):
+        run()  # layouts and the whitening are cached before tracing
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    boot = peak(lambda: skew_boot(WIDE, replicates=8, units=200, measure=measure, seed=1))
+    assert boot - peak(lambda: public(WIDE)) <= BLOCK_ELEMENTS * WIDE.values.itemsize
 
 
 # ---------------------------------------------------------------------------

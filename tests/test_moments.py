@@ -23,8 +23,10 @@ from mvskew import (
 from mvskew.measures import mardia_values
 from mvskew.moments import (
     SYMMETRY_RTOL,
+    _block_rows,
     moment_stack,
     pair_layout,
+    pair_products,
     triple_layout,
 )
 
@@ -111,11 +113,13 @@ def test_standardized_equals_raw_of_standardized(iris):
 
 
 # ---------------------------------------------------------------------------
-# the row-blocked kernel: blocks of max(64, 2^14 // d^2) rows, 256 at d = 8
+# the row-blocked kernel: blocks of max(256, 2^16 // (d(d+1)/2)) rows, 1820
+# at d = 8 and 256 at d = 32
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("stack", [(), (3,)])
-@pytest.mark.parametrize("n,d", [(100, 8), (256, 8), (600, 8), (64, 32), (130, 32), (7, 1)])
+@pytest.mark.parametrize("n,d", [(100, 8), (256, 8), (600, 8), (1820, 8), (4000, 8),
+                                 (64, 32), (130, 32), (256, 32), (600, 32), (7, 1)])
 def test_third_products_match_einsum(stack, n, d):
     # n below, equal to and not a multiple of the block size
     rows = np.random.default_rng(n * d).gamma(2.0, size=(*stack, n, d))
@@ -127,7 +131,8 @@ def test_third_products_match_einsum(stack, n, d):
 
 
 def test_third_products_of_a_stack_slice_match_the_slice_alone():
-    rows = np.random.default_rng(4).gamma(2.0, size=(3, 600, 8))  # 3 blocks each
+    rows = np.random.default_rng(4).gamma(2.0, size=(3, 4000, 8))  # 3 blocks each
+    assert 2 * _block_rows(8) < 4000 < 3 * _block_rows(8)
     stacked = moment_stack(rows)
     for k in range(len(rows)):
         assert np.array_equal(stacked[k], moment_stack(rows[k]))
@@ -146,19 +151,33 @@ def test_third_moment_never_holds_the_pair_array():
     assert peak < 2e6
 
 
+def test_a_bootstrap_block_holds_one_pair_array():
+    # a block of 27 iris-sized resamples: the copy of its columns, one pair
+    # array written in place, a ufunc buffer of np.getbufsize() doubles for
+    # the broadcast column, and the d^3 fill and its pair sums; no gathered
+    # copy
+    rows = np.random.default_rng(6).standard_normal((27, 150, 4))
+    stack, n, d = rows.shape
+    moment_stack(rows)  # the layouts are cached before tracing
+    tracemalloc.start()
+    try:
+        moment_stack(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = stack * d * (d + 1) // 2 * n
+    assert peak <= rows.itemsize * (pairs + rows.size + np.getbufsize() + 2 * stack * d**3)
+
+
 # ---------------------------------------------------------------------------
 # the pair sums and the one map that fills every slot from them
 # ---------------------------------------------------------------------------
-
-def _block_size(d):
-    return max(64, 2**14 // (d * d))
-
 
 @pytest.mark.parametrize("stack", [(), (3,)])
 @pytest.mark.parametrize("d", [1, 4, 8, 32])
 @pytest.mark.parametrize("blocks", [0.5, 1, 2.3], ids=["below", "at", "past"])
 def test_mardia_from_distinct_entries_matches_the_full_sum(stack, d, blocks):
-    n = int(blocks * _block_size(d))
+    n = int(blocks * _block_rows(d))
     rows = np.random.default_rng(n + d).gamma(2.0, size=(*stack, n, d))
     moment = np.einsum("...ni,...nj,...nh->...ijh", rows, rows, rows) / n
     reference = (moment**2).sum(axis=(-3, -2, -1))
@@ -180,6 +199,16 @@ def test_layouts_are_those_of_plain_loops(d):
                                  for t in (sorted((i, j, h)) for i in range(d)
                                            for j in range(d) for h in range(d))]
     assert [a.dtype for a in (first, second, slot, position)] == [np.dtype(np.intp)] * 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_pair_products_are_the_gathered_products(d):
+    # written in place, in pair_layout's order, to the bit of the products of
+    # the gathered columns, for a stack of strided blocks
+    rows = np.random.default_rng(d).standard_normal((3, 2 * 70, d))[:, ::2]
+    first, second, _ = pair_layout(d)
+    gathered = np.swapaxes(rows[..., first] * rows[..., second], -1, -2)
+    assert np.array_equal(pair_products(rows), gathered)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 32])
