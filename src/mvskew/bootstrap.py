@@ -12,10 +12,12 @@ out as in Salmon et al., SC'11. With s = ceil(units / 4), replicate r reads
 spawn_key=(attempt,)); its rows are floor(n*u) over the first ``units`` of
 them, relatively biased by at most n*2^-53 and never n. A singular resample
 is redrawn from the same counter steps under the next attempt's key, for up
-to MAX_REDRAWS attempts. So a block of max(1, BLOCK_ELEMENTS // (units *
-d(d+1)/2)) replicates is one draw and no row depends on the block size.
-A block's resamples are whitened and measured as one stack. Every
-value is bit-identical to the measure on its resample alone.
+to MAX_REDRAWS attempts. So a block of replicates is one draw and no row
+depends on the block size. A block holds max(1, BLOCK_ELEMENTS // (units *
+d)) resamples when Mardia takes the Gram route on them (10 at 200 units and
+d = 32), and max(1, BLOCK_ELEMENTS // (units * d(d+1)/2)) otherwise. A
+block's resamples are whitened and measured as one stack. Every value is
+bit-identical to the measure on its resample alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreconditionError, SingularityError, as_data_matrix, require_count, whiten
-from .measures import mardia_values, partial_values
+from .measures import gram_route, mardia_values, partial_values
 from .projection import directional_values, require_two_variables
 
 __all__ = ["BootstrapResult", "skew_boot", "MEASURES"]
@@ -38,9 +40,11 @@ DIRECTIONAL_ITERATIONS = 5
 # give up on a replicate after this many singular resamples
 MAX_REDRAWS = 100
 
-# a block holds max(1, BLOCK_ELEMENTS // (units * d(d+1)/2)) resamples: the
-# array of d(d+1)/2 pair products per row that moments.moment_stack forms for
-# a block of more than one resample holds at most 2^16 floats (512 KB)
+# a block holds max(1, BLOCK_ELEMENTS // _resample_elements(...)) resamples,
+# so the array it keeps per row, d(d+1)/2 pair products in
+# moments.moment_stack, or d whitened values on Mardia's Gram route, which
+# forms no pair products, holds at most 2^16 floats (512 KB) when the block
+# has more than one resample
 BLOCK_ELEMENTS = 2**16
 
 
@@ -55,6 +59,13 @@ class BootstrapResult:
     measure: str
     seed: int
     redraws: int  # singular resamples drawn and replaced
+
+
+def _resample_elements(measure: str, units: int, d: int) -> int:
+    """The floats one resample of ``units`` rows keeps live in its block."""
+    if measure == "Mardia" and gram_route(units, d):
+        return units * d
+    return units * (d * (d + 1) // 2)
 
 
 def _sturges_histogram(values: np.ndarray) -> list[tuple[float, float, int]]:
@@ -115,7 +126,7 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     values = np.empty(replicates)
     redraws = 0
     steps = -(-int(units) // 4)  # Philox counter steps per replicate, 4 doubles each
-    size = max(1, BLOCK_ELEMENTS // (units * (data.d * (data.d + 1) // 2)))
+    size = max(1, BLOCK_ELEMENTS // _resample_elements(measure, units, data.d))
     for start in range(0, replicates, size):
         pending = np.arange(start, min(start + size, replicates))  # no value yet
         for attempt in range(MAX_REDRAWS):

@@ -42,11 +42,25 @@ __all__ = [
 # and in bootstrap-sized stacks, and the slower in some cells past d^2 / 2
 GRAM_RATIO = 4
 
-# the Gram matrix is formed max(1, GRAM_ELEMENTS // n) rows at a time, so a
-# block of it holds at most 2^15 floats (256 KB) per row set while n <= 2^15
-# and stays in cache; a whole n x n Gram matrix falls out of it, and at
-# d = 32, n = 512 ran at about a quarter of the speed of the row blocks
+# the Gram matrix is formed max(1, GRAM_ELEMENTS // n) rows at a time, over
+# as many row sets of a stack as keep one product within 2^15 floats (256 KB)
+# while n <= 2^15, so it stays in cache; a whole n x n Gram matrix falls out
+# of it, and at d = 32, n = 512 ran at about a quarter of the speed of the
+# row blocks
 GRAM_ELEMENTS = 2**15
+
+# chi2_sf keeps the closed form above y = a + 1 up to this many degrees of
+# freedom, where it stayed within 1.1e-13 of mpmath (4.0e-14 at 120,
+# Mardia's dof at d = 8); past it the continued fraction takes over, within
+# 2e-13 of mpmath at every dof tried up to 695,520 (d = 160)
+CLOSED_FORM_DOF = 200
+
+# _log_prefactor takes Stirling's form from a = dof/2 = 15 on: at a = 10 the
+# five-term remainder series was 3e-14 off mpmath, at 15 within 9e-15
+STIRLING_FROM = 15
+
+# where chi2_sf's series and continued fraction stop, relative to their value
+EPSILON = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -79,26 +93,99 @@ class SkewnessReport:
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper tail P(chi2_dof >= x) = Q(dof/2, x/2), in closed form.
+    """Upper tail P(chi2_dof >= x) = Q(a, y), with a = dof/2 and y = x/2.
 
-    With y = x/2, Q = sum_{j<dof/2} e^-y y^j / j! for even dof, and
-    Q = erfc(sqrt y) + sum_{j<(dof-1)/2} e^-y y^(j+1/2) / Gamma(j+3/2) for
-    odd dof. Each of the dof//2 terms is formed from its logarithm, and
-    they are added with ``math.fsum``. ``x`` must be >= 0 and ``dof`` an
-    integer >= 1 (PreconditionError).
+    Below y = a + 1 it is 1 - P(a, y), with P by its power series. Above,
+    while dof <= CLOSED_FORM_DOF, it is the closed form: with y = x/2,
+    Q = sum_{j<dof/2} e^-y y^j / j! for even dof, and Q = erfc(sqrt y) +
+    sum_{j<(dof-1)/2} e^-y y^(j+1/2) / Gamma(j+3/2) for odd dof, each term
+    formed from its logarithm and added with ``math.fsum``. Past that, each
+    of those terms would carry about dof * eps, so Q is Legendre's continued
+    fraction (modified Lentz; Press et al., Numerical Recipes, 6.2). The
+    result is clamped to [0, 1] only as a last guard. ``x`` must be >= 0
+    and ``dof`` an integer >= 1 (PreconditionError).
     """
     if not x >= 0:  # NaN too
         raise PreconditionError(f"chi-square statistic must be >= 0, got {x}")
     require_count("dof", dof, 1)
-    y = x / 2.0
+    a, y = dof / 2.0, x / 2.0
     if y == 0 or y == math.inf:
         return float(y == 0)
-    log_y = math.log(y)
-    shift = 0.5 if dof % 2 else 0.0
-    head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
-    return math.fsum([head] + [
-        math.exp((j + shift) * log_y - y - math.lgamma(j + shift + 1.0))
-        for j in range(int(dof) // 2)])
+    if y < a + 1:
+        tail = 1.0 - _lower_series(a, y)
+    elif dof <= CLOSED_FORM_DOF:
+        log_y = math.log(y)
+        shift = 0.5 if dof % 2 else 0.0
+        head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+        tail = math.fsum([head] + [
+            math.exp((j + shift) * log_y - y - math.lgamma(j + shift + 1.0))
+            for j in range(int(dof) // 2)])
+    else:
+        tail = _continued_fraction(a, y)
+    return min(max(tail, 0.0), 1.0)
+
+
+def _log_prefactor(a: float, y: float) -> float:
+    """ln(y^a e^-y / Gamma(a)).
+
+    From a = STIRLING_FROM on, the direct form's three terms grow like
+    a ln a and so do their rounding errors. There it is
+    -a phi(y/a) + ln(a / 2 pi) / 2 - s(a), with phi(l) = l - 1 - ln l and
+    s(a) Stirling's remainder of ln Gamma(a). Below y = a/2 the direct form
+    stays: P(a, y) is under e^(-0.19 a) there, so its relative error does not
+    reach 1 - P.
+    """
+    if a < STIRLING_FROM or 2.0 * y < a:
+        return a * math.log(y) - y - math.lgamma(a)
+    t = (y - a) / a  # y - a is exact up to y = 2a (Sterbenz)
+    if abs(t) < 0.5:
+        # t - log1p(t) cancels near 0; with u = t / (2 + t),
+        # log1p(t) = 2 atanh(u), so phi = t u - 2 (u^3/3 + u^5/5 + ...)
+        u = t / (2.0 + t)
+        power, k, series = u, 3, 0.0
+        while True:
+            power *= u * u
+            term = power / k
+            series += term
+            if abs(term) <= EPSILON * abs(series):
+                break
+            k += 2
+        phi = t * u - 2.0 * series
+    else:
+        phi = t - math.log1p(t)
+    r = 1.0 / (a * a)
+    stirling = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / a
+    return -a * phi + 0.5 * math.log(a / (2 * math.pi)) - stirling
+
+
+def _lower_series(a: float, y: float) -> float:
+    """P(a, y) = y^a e^-y / Gamma(a + 1) sum_n y^n / ((a+1)...(a+n)), y < a + 1."""
+    term = total = 1.0
+    n = a
+    while term > EPSILON * total:
+        n += 1.0
+        term *= y / n
+        total += term
+    return math.exp(_log_prefactor(a, y)) * total / a
+
+
+def _continued_fraction(a: float, y: float) -> float:
+    """Q(a, y) by Legendre's continued fraction, y >= a + 1."""
+    tiny = 1e-300
+    b = y + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    fraction, i, step = d, 0, 0.0
+    while abs(step - 1.0) > EPSILON:
+        i += 1
+        an = i * (a - i)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        step = d * c
+        fraction *= step
+    return math.exp(_log_prefactor(a, y)) * fraction
 
 
 def fisher_skew(data) -> np.ndarray:
@@ -132,7 +219,7 @@ def mardia_skewness(data) -> SkewnessReport:
     )
 
 
-def _gram_route(n: int, d: int) -> bool:
+def gram_route(n: int, d: int) -> bool:
     """Whether mardia_values sums over the Gram matrix of n rows in d variables."""
     return GRAM_RATIO * n <= d * d
 
@@ -140,11 +227,12 @@ def _gram_route(n: int, d: int) -> bool:
 def mardia_values(z: np.ndarray) -> np.ndarray:
     """Mardia's skewness of each whitened row set in a stack (..., n, d).
 
-    With few rows next to d^2 (``GRAM_RATIO * n <= d^2``), it is
+    With few rows next to d^2 (:func:`gram_route`), it is
     (1/n^2) sum_ij (z_i' z_j)^3 (Mardia 1970), summed over blocks of
-    ``max(1, GRAM_ELEMENTS // n)`` rows i of the Gram matrix. Otherwise it
-    is the definition, the sum of the d^3 squares of the third moment. The
-    two agree to a few ulps.
+    ``max(1, GRAM_ELEMENTS // n)`` rows i of the Gram matrix, for as many
+    row sets at a time as keep a block's cubes within ``GRAM_ELEMENTS``
+    floats over the whole group. Otherwise it is the definition, the sum of
+    the d^3 squares of the third moment. The two agree to a few ulps.
 
     The route and the row blocks depend on (n, d) alone, and numpy sums each
     slice's contiguous row of terms by itself, so a slice has the same value
@@ -152,21 +240,26 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
     ``mardia_skewness(x).value`` to the bit.
     """
     n, d = z.shape[-2:]
-    if not _gram_route(n, d):
+    if not gram_route(n, d):
         squares = moment_stack(z)
         squares *= squares
         # an explicit length: a stack of no row sets has no -1 to infer
         return squares.reshape(z.shape[:-2] + (d**3,)).sum(axis=-1)
     size = max(1, GRAM_ELEMENTS // n)
-    sums = 0.0
-    for start in range(0, n, size):
-        # one name for the block: the previous block is freed as this one
-        # is formed, so at most two blocks are live
-        cubes = z[..., start:start + size, :] @ np.swapaxes(z, -1, -2)
-        cubes *= cubes * cubes
-        # an explicit length: a stack of no row sets has no -1 to infer
-        sums = sums + cubes.reshape(z.shape[:-2] + (cubes.shape[-2] * n,)).sum(axis=-1)
-    return sums / (n * n)
+    stack = z.reshape(-1, n, d)
+    group = max(1, GRAM_ELEMENTS // (min(size, n) * n))
+    sums = np.empty(len(stack))
+    for first in range(0, len(stack), group):
+        rows = stack[first:first + group]
+        total = 0.0
+        for start in range(0, n, size):
+            # one name for the block: the previous block is freed as this
+            # one is formed, so at most two blocks are live
+            cubes = rows[:, start:start + size] @ np.swapaxes(rows, -1, -2)
+            cubes *= cubes * cubes
+            total = total + cubes.reshape(len(rows), -1).sum(axis=-1)
+        sums[first:first + group] = total
+    return sums.reshape(z.shape[:-2]) / (n * n)
 
 
 def _mori(z: np.ndarray) -> np.ndarray:

@@ -40,11 +40,6 @@ def test_pvalue_bounds(iris):
 # one definition per statistic
 # ---------------------------------------------------------------------------
 
-def _pairs(d):
-    """Distinct pair products per row, d(d+1)/2, as the block rule counts them."""
-    return d * (d + 1) // 2
-
-
 def _own_value(data, seed, r, units, public):
     """The public value of replicate r's resample and its number of singular
     draws, replayed from the counter layout skew_boot draws from: attempt a
@@ -63,7 +58,7 @@ def _own_value(data, seed, r, units, public):
 
 
 # seeded gamma-mixed 400 x 16: a resample of 60 rows takes Mardia's Gram route
-# (4 * 60 <= 16^2), and a block holds 2^16 // (60 * 136) = 8 of them
+# (4 * 60 <= 16^2), and a block holds 2^16 // (60 * 16) = 68 of them
 GAMMA16 = DataMatrix(np.random.default_rng(16).gamma(2.0, size=(400, 16))
                      @ np.random.default_rng(17).standard_normal((16, 16)),
                      tuple(f"x{i}" for i in range(16)))
@@ -81,8 +76,8 @@ def test_statistics_are_the_public_measure_values(iris, measure, public, dataset
     # in its block, is the public value on its own resample, to the bit
     data = GAMMA16 if dataset == "gamma16" else iris
     if data is GAMMA16:
-        assert measures._gram_route(units, data.d)
-    block = BLOCK_ELEMENTS // (units * _pairs(data.d))
+        assert measures.gram_route(units, data.d)
+    block = BLOCK_ELEMENTS // bootstrap._resample_elements(measure, units, data.d)
     assert block > 1
     replicates = 2 * block + block // 2
     result = skew_boot(data, replicates=replicates, units=units, measure=measure,
@@ -106,7 +101,7 @@ SQUARE = DataMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 2.0]]),
 def test_redrawn_replicates_inside_a_block_keep_their_own_stream(measure, public,
                                                                  units):
     replicates = 12
-    assert BLOCK_ELEMENTS // (units * _pairs(SQUARE.d)) > replicates  # one block
+    assert BLOCK_ELEMENTS // bootstrap._resample_elements(measure, units, SQUARE.d) > replicates
     result = skew_boot(SQUARE, replicates=replicates, units=units, measure=measure,
                        seed=0)
     own = [_own_value(SQUARE, 0, r, units, public) for r in range(replicates)]
@@ -146,18 +141,22 @@ def test_redraw_limit_names_the_lowest_failing_replicate(measure, public, units,
                                   f"still singular after {MAX_REDRAWS} redraws")
 
 
-@pytest.mark.parametrize("measure", MEASURES)
-@pytest.mark.parametrize("dataset", ["iris", "square"])
+@pytest.mark.parametrize("dataset, measure", [(dataset, measure) for dataset in ("iris", "square")
+                                              for measure in MEASURES]
+                         + [("gamma16", "Mardia")])
 def test_results_do_not_depend_on_the_block_size(iris, monkeypatch, measure, dataset):
-    # the default blocks (43 iris resamples; all 60 on SQUARE) and blocks of
-    # 1, 7, 27 and 500 resamples draw the same rows; on SQUARE, at d + 1
-    # (Mardia, Directional) or d + 2 (Partial) units, they also redraw the
-    # same ones, so every result field is the same
-    data = iris if dataset == "iris" else SQUARE
-    units = 150 if dataset == "iris" else data.d + (2 if measure == "Partial" else 1)
+    # the default blocks (43 iris resamples; all 60 on SQUARE and, on Mardia's
+    # Gram route, on GAMMA16) and blocks of 1, 7, 27 and 500 resamples draw
+    # the same rows; on SQUARE, at d + 1 (Mardia, Directional) or d + 2
+    # (Partial) units, they also redraw the same ones, so every result field
+    # is the same
+    data = {"iris": iris, "square": SQUARE, "gamma16": GAMMA16}[dataset]
+    units = {"iris": 150, "gamma16": 60}.get(
+        dataset, data.d + (2 if measure == "Partial" else 1))
     results = [skew_boot(data, replicates=60, units=units, measure=measure, seed=9)]
+    per_resample = bootstrap._resample_elements(measure, units, data.d)
     for block in (1, 7, 27, 500):
-        monkeypatch.setattr(bootstrap, "BLOCK_ELEMENTS", block * units * _pairs(data.d))
+        monkeypatch.setattr(bootstrap, "BLOCK_ELEMENTS", block * per_resample)
         results.append(skew_boot(data, replicates=60, units=units, measure=measure,
                                  seed=9))
     for result in results[1:]:

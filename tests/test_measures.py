@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import mvskew
@@ -140,7 +142,7 @@ def test_mardia_frobenius_identity(iris):
     samples = [iris.values] + [rng.gamma(2.0, size=(n, d))
                                for d in (2, 3, 5, 8, 16) for n in (80, 200, 1000)]
     for x in samples:
-        assert not measures._gram_route(*x.shape)
+        assert not measures.gram_route(*x.shape)
         k3z = third_moment(x, "standardized").values
         assert mardia_skewness(x).value == (k3z**2).sum()
 
@@ -155,7 +157,7 @@ def _whitened(rng, shape):
 def test_mardia_routes_agree_on_both_sides_of_the_rule(d, ratio, gram, monkeypatch,
                                                        mardia_pairwise):
     n = d * d // ratio
-    assert measures._gram_route(n, d) is gram
+    assert measures.gram_route(n, d) is gram
     x = np.random.default_rng(d + ratio).gamma(2.0, size=(n, d))
     public = mardia_skewness(x).value
     z = DataMatrix(x, tuple(map(str, range(d)))).whitening[0][None]
@@ -169,22 +171,35 @@ def test_mardia_routes_agree_on_both_sides_of_the_rule(d, ratio, gram, monkeypat
         assert abs(routes["gram"] - value) <= 1e-13 * value
 
 
+def _gram_group(n):
+    """Row sets per Gram product, as mardia_values counts them: one block of
+    max(1, GRAM_ELEMENTS // n) rows (at most n) by n columns each."""
+    rows = min(max(1, measures.GRAM_ELEMENTS // n), n)
+    return max(1, measures.GRAM_ELEMENTS // (rows * n))
+
+
 def test_gram_route_slices_keep_their_own_bits():
-    # n = 200 spans two row blocks of the Gram matrix
-    z = _whitened(np.random.default_rng(3), (3, 200, 32))
-    assert measures._gram_route(200, 32)
+    # n = 200 spans two row blocks of the Gram matrix, one row set a group;
+    # n = 40 is one row block, 20 row sets a group; stacks of one group less
+    # one, one group and one group and one
     assert measures.GRAM_ELEMENTS // 200 < 200
-    stacked = mardia_values(z)
-    for k in range(3):
-        assert stacked[k].tobytes() == mardia_values(z[k][None])[0].tobytes()
-        assert stacked[k].tobytes() == mardia_values(z[k]).tobytes()
+    rng = np.random.default_rng(3)
+    for n, d in ((200, 32), (40, 16)):
+        assert measures.gram_route(n, d)
+        for count in (_gram_group(n) - 1, _gram_group(n), _gram_group(n) + 1):
+            z = _whitened(rng, (count, n, d))
+            stacked = mardia_values(z)
+            assert stacked.shape == (count,)
+            for k in range(count):
+                assert stacked[k].tobytes() == mardia_values(z[k][None])[0].tobytes()
+                assert stacked[k].tobytes() == mardia_values(z[k]).tobytes()
 
 
 def test_gram_route_memory_stays_in_row_blocks():
     # an n x n Gram matrix of 1024 rows would take 8 MB; blocks of 32 rows
     # take 256 KB each
     z = _whitened(np.random.default_rng(4), (1, 1024, 64))
-    assert measures._gram_route(1024, 64)
+    assert measures.gram_route(1024, 64)
     tracemalloc.start()
     try:
         mardia_values(z)
@@ -199,6 +214,23 @@ def test_gram_route_holds_two_blocks_at_most():
     # may be live with the previous block's cubes, but not three blocks
     z = _whitened(np.random.default_rng(4), (1, 1024, 64))
     block = measures.GRAM_ELEMENTS // 1024 * 1024 * z.itemsize
+    expected = mardia_values(z)
+    tracemalloc.start()
+    try:
+        value = mardia_values(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.tobytes() == expected.tobytes()
+    assert peak < 2.5 * block
+
+
+def test_a_gram_stack_holds_two_blocks_at_most():
+    # the bound holds over the stack: 16 row sets of 200 rows take one row
+    # set a product, where 16 at once would make 16 x 260 KB of cubes
+    z = _whitened(np.random.default_rng(6), (16, 200, 32))
+    assert _gram_group(200) == 1
+    block = measures.GRAM_ELEMENTS * z.itemsize
     expected = mardia_values(z)
     tracemalloc.start()
     try:
@@ -344,14 +376,42 @@ def test_chi2_sf_at_infinity():
         assert chi2_sf(float("inf"), dof) == 0.0
 
 
+def _mardia_dof(d):
+    return d * (d + 1) * (d + 2) // 6
+
+
 def test_chi2_sf_against_mpmath_oracle():
-    # dof 816 and 5984 are Mardia's at d = 16 and d = 32
+    # dof 816 and 5984 are Mardia's at d = 16 and d = 32; from d = 64 to 160
+    # each dof takes statistics across the centre and both tails
     mpmath.mp.dps = 30
-    for x in (0.5, 3.2, 10.1225, 67.4305, 150.0, 260.0, 900.0, 6000.0, 4e4):
-        for dof in (1, 2, 4, 20, 111, 200, 816, 5984):
-            oracle = float(mpmath.gammainc(dof / 2.0, a=x / 2.0, regularized=True))
-            value = chi2_sf(x, dof)
-            assert abs(value - oracle) <= 1e-10 * max(oracle, 1e-300)
+    cases = [(x, dof) for x in (0.5, 3.2, 10.1225, 67.4305, 150.0, 260.0, 900.0, 6000.0, 4e4)
+             for dof in (1, 2, 4, 20, 111, 200, 816, 5984)]
+    cases += [(scale * dof, dof) for dof in map(_mardia_dof, (64, 96, 128, 160))
+              for scale in (0.95, 0.99, 0.995, 0.999, 1.0, 1.001, 1.005, 1.01, 1.02, 1.05)]
+    for x, dof in cases:
+        oracle = float(mpmath.gammainc(dof / 2.0, a=x / 2.0, regularized=True))
+        value = chi2_sf(x, dof)
+        assert abs(value - oracle) <= 1e-12 * max(oracle, 1e-300), (x, dof)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.one_of(st.integers(1, 400), st.integers(1, 10**6)),
+       scale=st.floats(0.0, 3.0), step=st.floats(1e-9, 1.0))
+def test_chi2_sf_is_a_tail_probability(dof, scale, step):
+    # in [0, 1] and non-increasing in x at fixed dof, on both sides of the
+    # series/continued-fraction switch and of CLOSED_FORM_DOF
+    x = scale * dof
+    upper = chi2_sf(x, dof)
+    assert 0.0 <= chi2_sf(x * (1.0 + step), dof) <= upper <= 1.0
+
+
+def test_chi2_sf_stays_at_most_one_at_large_dof():
+    # the closed form's dof * eps error read these as 1.0000000000366653
+    # and 1.0000000000052518
+    assert chi2_sf(321984, _mardia_dof(128)) <= 1.0
+    report = mardia_skewness(np.random.default_rng(2).standard_normal((66, 64)))
+    assert report.dof == _mardia_dof(64)
+    assert report.pvalue <= 1.0
 
 
 def test_chi2_sf_paper_anchors():

@@ -3,8 +3,8 @@ moments.py, without a sort, and cached read-only, text is parsed only in
 data.py, modules share no private names, the public surface is the pinned
 list below, every function the benchmark traces and every name the docs give
 exists, the README's quick start reports the search diagnostics its comments
-state, no module sets a bit generator's state, and the benchmark's small job
-scripts pass its oracle."""
+state, no module sets a bit generator's state, the Gram-route rule is spelled
+only in measures.py, and the benchmark's small job scripts pass its oracle."""
 
 import ast
 import functools
@@ -146,6 +146,39 @@ def test_rows_are_centered_and_summed_only_in_data():
                  and (lines := _row_reductions(ast.parse(path.read_text())))}
     assert offenders == {}
     assert _row_reductions(ast.parse("x.mean(axis=0)\nx.sum(axis=-2)\nx.sum(axis=1)")) == [1, 2]
+
+
+def _gram_rule(tree: ast.AST) -> list[int]:
+    """Lines that name ``GRAM_RATIO`` or order a value against an expression
+    with a square, ``d * d`` or ``d ** 2``, in it, as the Gram-route rule does."""
+    def square(node):
+        return isinstance(node, ast.BinOp) and (
+            isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right)
+            or isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2")
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                   and "GRAM_RATIO" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+                   or isinstance(node, ast.Compare)
+                   and all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+                   and any(square(part) for side in (node.left, *node.comparators)
+                           for part in ast.walk(side))})
+
+
+def test_the_gram_route_rule_lives_in_measures():
+    # measures.gram_route is the one spelling of 4n <= d^2, and the only
+    # reader of GRAM_RATIO: the bootstrap sizes its blocks by the route
+    # mardia_values takes, so a second copy of the rule could drift from it
+    tree = ast.parse((SRC / "measures.py").read_text())
+    definition = next(node.lineno for node in tree.body if isinstance(node, ast.Assign)
+                      and ast.unparse(node.targets[0]) == "GRAM_RATIO")
+    source, start = inspect.getsourcelines(mvskew.measures.gram_route)
+    assert source[-1].strip() == "return GRAM_RATIO * n <= d * d"
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _gram_rule(ast.parse(path.read_text())))}
+    assert found == {"measures.py": [definition, start + len(source) - 1]}
+    sample = ("from .measures import GRAM_RATIO\nm.GRAM_RATIO\n4 * n <= d * d\n"
+              "n <= d ** 2 // 4\nrows != d * d\nn <= d * 2")
+    assert _gram_rule(ast.parse(sample)) == [1, 2, 3, 4]
 
 
 def _text_parsing(tree: ast.AST) -> list[int]:
