@@ -127,13 +127,17 @@ def skew_boot(data, replicates: int, units: int, measure: str, seed: int = 0) ->
     redraws = 0
     steps = -(-int(units) // 4)  # Philox counter steps per replicate, 4 doubles each
     size = max(1, BLOCK_ELEMENTS // _resample_elements(measure, units, data.d))
+    keys = []  # each attempt's Philox key, derived on its first use
     for start in range(0, replicates, size):
         pending = np.arange(start, min(start + size, replicates))  # no value yet
         for attempt in range(MAX_REDRAWS):
             first = int(pending[0])
+            if attempt == len(keys):
+                keys.append(np.random.SeedSequence(seed, spawn_key=(attempt,))
+                            .generate_state(2, np.uint64))
             # a fresh Philox at the block's first step: no block depends on the one before
-            key = np.random.SeedSequence(seed, spawn_key=(attempt,)).generate_state(2, np.uint64)
-            generator = np.random.Generator(np.random.Philox(key=key, counter=first * steps))
+            generator = np.random.Generator(np.random.Philox(key=keys[attempt],
+                                                             counter=first * steps))
             u = generator.random((int(pending[-1]) + 1 - first, 4 * steps))
             # the draws and row indices are freed before the statistic: with
             # them alive, a block's heap peak neared glibc's trim threshold,

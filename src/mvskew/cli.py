@@ -11,6 +11,7 @@ errors, with a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .bootstrap import MEASURES, skew_boot
 from .data import (DataError, DataMatrix, PreconditionError, SingularityError,
-                   format_matrix, load_csv, require_count)
+                   format_slices, load_csv, require_count)
 from .measures import fisher_skew, mardia_skewness, partial_skewness
 from .moments import KINDS, save_third_moment, third_moment
 from .projection import ProjectionBasis, max_skew
@@ -99,34 +100,47 @@ def _summary(items: dict, precision: int) -> None:
     print(", ".join(f"{key}={value}" for key, value in pairs))
 
 
-def _write(args, name: str, text) -> None:
-    """Write one output file and print ``wrote PATH``.
+def _write(args, files: dict, matrix=None) -> None:
+    """Write output files in one pass and print ``wrote PATH`` for each, in order.
 
-    The output directory is created on first use. ``text`` is the file's
-    content; a dict is written as sorted, indented JSON with numpy arrays as
-    lists, and a function is called with the path to write the file itself.
+    The output directory is created on first use. ``files`` maps each file's
+    name to its head, written as UTF-8: text, or a dict written as sorted,
+    indented JSON with numpy arrays as lists; a function is called with the
+    path instead, to write the file itself. The other files then get
+    ``matrix``'s CSV rows, if there is one, slice by slice: each slice is
+    formatted once, for all of them, and a precision or shape the formatter
+    refuses creates no file.
     """
+    slices = () if matrix is None else format_slices(matrix, args.precision)
     directory = Path(args.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / name
-    if callable(text):
-        text(path)
-    else:
-        if isinstance(text, dict):
-            text = json.dumps(text, indent=2, sort_keys=True,
-                              default=np.ndarray.tolist) + "\n"
-        path.write_text(text)
-    print(f"wrote {path}")
+    paths = [directory / name for name in files]
+    with contextlib.ExitStack() as stack:
+        handles = []
+        for path, head in zip(paths, files.values()):
+            if callable(head):
+                head(path)
+                continue
+            if isinstance(head, dict):
+                head = json.dumps(head, indent=2, sort_keys=True,
+                                  default=np.ndarray.tolist) + "\n"
+            handles.append(stack.enter_context(open(path, "wb")))
+            handles[-1].write(head.encode("utf-8"))
+        for piece in slices:
+            for handle in handles:
+                handle.write(piece)
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _cmd_third(args, data: DataMatrix) -> None:
     result = third_moment(data, args.kind)
     name = f"third_{args.kind}.{args.format}"
     if args.format == "json":
-        _write(args, name, {"kind": result.kind, "d": result.d,
-                            "values": result.values})
+        _write(args, {name: {"kind": result.kind, "d": result.d,
+                             "values": result.values}})
     else:
-        _write(args, name, lambda path: save_third_moment(result, path, args.precision))
+        _write(args, {name: lambda path: save_third_moment(result, path, args.precision)})
 
 
 def _cmd_skew(args, data: DataMatrix) -> None:
@@ -140,13 +154,16 @@ def _cmd_skew(args, data: DataMatrix) -> None:
             report = mardia_skewness(data) if name == "mardia" else partial_skewness(data)
             items = payload = report.to_dict()
         _summary(items, args.precision)
-        _write(args, f"skew_{name}.{args.format}",
-               payload if args.format == "json" else _rows(items.items(), args.precision))
+        _write(args, {f"skew_{name}.{args.format}":
+                      payload if args.format == "json" else _rows(items.items(), args.precision)})
 
 
-def _write_basis(args, basis: ProjectionBasis, prefix: str,
-                 linear_name: str) -> str | None:
-    """Write a basis's files; returns the projections' csv text, when it writes one."""
+def _write_basis(args, basis: ProjectionBasis, prefix: str, linear_name: str,
+                 scatter: str | None = None) -> None:
+    """Write a basis's files; given a ``scatter`` header line, also a
+    ``{prefix}_scatter.csv`` of the header and the projections, in the
+    projections file's pass."""
+    files = {} if scatter is None else {f"{prefix}_scatter.csv": scatter}
     if args.format == "json":
         payload = {linear_name: basis.directions,
                    "standardized_directions": basis.standardized_directions,
@@ -155,22 +172,20 @@ def _write_basis(args, basis: ProjectionBasis, prefix: str,
         if basis.restarts:  # max_skew's per-component search diagnostics
             payload.update(restarts=basis.restarts, converged=basis.converged,
                            winners=basis.winners)
-        _write(args, f"{prefix}.json", payload)
-        return None
-    for stem, matrix in ((linear_name, basis.directions), ("skewness", basis.skewness)):
-        _write(args, f"{prefix}_{stem}.csv", format_matrix(matrix, args.precision))
-    projections = format_matrix(basis.projected, args.precision)
-    _write(args, f"{prefix}_projections.csv", projections)
-    return projections
+        _write(args, {f"{prefix}.json": payload})
+    else:
+        for stem, matrix in ((linear_name, basis.directions), ("skewness", basis.skewness)):
+            _write(args, {f"{prefix}_{stem}.csv": ""}, matrix)
+        files = {f"{prefix}_projections.csv": "", **files}
+    if files:
+        _write(args, files, basis.projected)
 
 
 def _cmd_maxskew(args, data: DataMatrix) -> None:
     basis = max_skew(data, iterations=args.iterations, components=args.components)
-    projections = (_write_basis(args, basis, "maxskew", "directions")
-                   or format_matrix(basis.projected, args.precision))
     # scatter data for external plotting: projections with column labels
     header = ",".join(f"proj{j + 1}" for j in range(basis.projected.shape[1])) + "\n"
-    _write(args, "maxskew_scatter.csv", header + projections)
+    _write_basis(args, basis, "maxskew", "directions", header)
 
 
 def _cmd_minskew(args, data: DataMatrix) -> None:
@@ -185,15 +200,14 @@ def _cmd_boot(args, data: DataMatrix) -> None:
     _summary(summary, args.precision)
     summary.update(replicates=args.replicates, units=args.units, seed=result.seed)
     if args.format == "json":
-        _write(args, "boot.json", {**summary, "replicates": result.replicates,
-                                   "histogram": result.histogram,
-                                   "redraws": result.redraws})
+        _write(args, {"boot.json": {**summary, "replicates": result.replicates,
+                                    "histogram": result.histogram,
+                                    "redraws": result.redraws}})
         return
-    _write(args, "boot_replicates.csv",
-           format_matrix(result.replicates.reshape(-1, 1), args.precision))
-    _write(args, "boot_histogram.csv",
-           _rows([("lower", "upper", "count"), *result.histogram], args.precision))
-    _write(args, "boot_summary.csv", _rows(summary.items(), args.precision))
+    _write(args, {"boot_replicates.csv": ""}, result.replicates.reshape(-1, 1))
+    _write(args, {"boot_histogram.csv":
+                  _rows([("lower", "upper", "count"), *result.histogram], args.precision)})
+    _write(args, {"boot_summary.csv": _rows(summary.items(), args.precision)})
 
 
 def _build_parser() -> argparse.ArgumentParser:

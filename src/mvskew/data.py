@@ -35,7 +35,11 @@ fixed notation (decimal exponent -4 to p - 1) and that one pass settles,
 the bulk of any data. Every other cell -- a carry to the next power of ten,
 exponent form, 0, -0, nan, +-inf, and every value at p = 16 or 17, whose
 digit integer passes 2^53 -- takes the one ``%`` route: one call over
-them. A cell's route depends on the cell alone.
+them. A cell's route depends on the cell alone. The kernel formats a slice
+of at most FORMAT_CELLS cells at a time, as ASCII bytes;
+:func:`format_slices` yields those slices, so a file is written slice by
+slice with the memory of one slice, and :func:`format_matrix` decodes and
+appends them into one string.
 """
 
 from __future__ import annotations
@@ -629,15 +633,16 @@ def _fixed_cells(x: np.ndarray, precision: int, width: int):
     # a group reads its word with NUL trailing zeros, at 10000 + its value,
     # while every later group is 0
     offset = np.full(cells.size, 10000, np.intp)
+    n = n.astype(np.intp)  # exact: n < 10^15
     for g in reversed(range(groups)):
-        quotient = np.floor(n / 10000.0)  # exact: n < 10^15
-        remainder = (n - 10000.0 * quotient).astype(np.intp)
+        quotient = n // 10000
+        remainder = n - 10000 * quotient
         ascii[:, g] = words[remainder + offset]
-        offset[remainder != 0] = 0
+        offset *= remainder == 0
         n = quotient
     digits = ascii.view(np.uint8)[:, 4 * groups - p:]
     rows = np.zeros((cells.size, width), np.uint8)
-    rows[:, 0] = np.where(x[cells] < 0, 45, 0)  # "-"
+    rows[:, 0] = (x[cells] < 0) * np.uint8(45)  # "-"
     bounds = np.searchsorted(exponent, np.arange(-4, p + 1))
     for e, start, stop in zip(range(-4, p), bounds[:-1], bounds[1:]):
         if start == stop:
@@ -650,16 +655,16 @@ def _fixed_cells(x: np.ndarray, precision: int, width: int):
         else:  # e + 1 integer digits, zeros kept; ".", the fraction, if any
             row[:, 1:e + 2] = digit[:, :e + 1] | 48
             if e + 1 < p:
-                row[:, e + 2] = np.where(digit[:, e + 1] != 0, 46, 0)
+                row[:, e + 2] = (digit[:, e + 1] != 0) * np.uint8(46)
                 row[:, e + 3:p + 2] = digit[:, e + 1:]
     return fixed, cells, rows
 
 
-def _format_rows(part: np.ndarray, precision: int) -> str:
-    """CSV text of the rows of a 2-d slice: exactly ``"%.{precision}g" % x``."""
+def _format_rows(part: np.ndarray, precision: int) -> bytes:
+    """CSV bytes of the rows of a 2-d slice: exactly ``"%.{precision}g" % x``."""
     x = np.ascontiguousarray(part, dtype=float).ravel()
     if not x.size:  # no cells: one empty line per row
-        return "\n" * len(part)
+        return b"\n" * len(part)
     # a cell is a row of width + 1 bytes, its text NUL-padded, then "," or
     # "\n"; no %g text of a double is longer than precision + 7
     width = precision + 7
@@ -678,7 +683,24 @@ def _format_rows(part: np.ndarray, precision: int) -> str:
         text.view(record)[rest, 0] = padded.view(record)
     text[:, width] = 44  # ","
     text[part.shape[1] - 1::part.shape[1], width] = 10  # "\n"
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
+
+
+def format_slices(matrix, precision: int):
+    """The CSV bytes of :func:`format_matrix`'s text, as ASCII, one slice of
+    at most FORMAT_CELLS cells (or one row) at a time, from an iterator.
+
+    ``precision`` and the shape are checked on the call, before the first
+    slice is asked for: a caller that opens its file after the call creates
+    no file for a refused matrix.
+    """
+    require_count("precision", precision, 0, 17)
+    matrix = np.atleast_2d(matrix)
+    if matrix.ndim != 2:
+        raise DataError(f"expected a 1-d or 2-d array, got ndim={matrix.ndim}")
+    rows = max(1, FORMAT_CELLS // max(matrix.shape[1], 1))
+    return (_format_rows(matrix[start:start + rows], precision)
+            for start in range(0, len(matrix), rows))
 
 
 def format_matrix(matrix, precision: int) -> str:
@@ -693,18 +715,14 @@ def format_matrix(matrix, precision: int) -> str:
     carry to the next power of ten, a floor(log10) off by one, 16 or 17
     digits (the integer passes 2^53), exponent form, 0, -0, nan and +-inf
     take the one ``%`` route, a single call over their cells. The matrix is
-    formatted FORMAT_CELLS cells at a time, which bounds the temporaries.
+    formatted by :func:`format_slices`, FORMAT_CELLS cells at a time, which
+    bounds the temporaries.
     ``precision`` must be an integer from 0 to 17 (PreconditionError).
     """
-    require_count("precision", precision, 0, 17)
-    matrix = np.atleast_2d(matrix)
-    if matrix.ndim != 2:
-        raise DataError(f"expected a 1-d or 2-d array, got ndim={matrix.ndim}")
-    rows = max(1, FORMAT_CELLS // max(matrix.shape[1], 1))
     text = ""
-    for start in range(0, len(matrix), rows):
+    for piece in format_slices(matrix, precision):
         # appending in place keeps the peak at the result plus one slice
-        text += _format_rows(matrix[start:start + rows], precision)
+        text += piece.decode("ascii")
     return text
 
 

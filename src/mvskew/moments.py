@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (DataError, PreconditionError, as_data_matrix, centered, format_matrix,
+from .data import (DataError, PreconditionError, as_data_matrix, centered, format_slices,
                    leading_rows, parse_columns, require_count, require_finite,
                    require_finite_moments, utf8_errors)
 
@@ -276,11 +276,12 @@ def block(m3: ThirdMomentMatrix, i: int) -> np.ndarray:
 
 
 def save_third_moment(m3: ThirdMomentMatrix, path, precision: int = 17) -> None:
-    """Write to CSV: one `# kind=...` comment line, then d^2 rows of d values."""
-    text = format_matrix(m3.values, precision)  # a bad precision writes no file
-    with open(path, "w") as handle:
-        handle.write(f"# kind={m3.kind}\n")
-        handle.write(text)
+    """Write to CSV: one `# kind=...` comment line, then d^2 rows of d values,
+    streamed slice by slice as UTF-8 bytes."""
+    slices = format_slices(m3.values, precision)  # a bad precision writes no file
+    with open(path, "wb") as handle:
+        handle.write(f"# kind={m3.kind}\n".encode())
+        handle.writelines(slices)
 
 
 def load_third_moment(path) -> ThirdMomentMatrix:

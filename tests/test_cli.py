@@ -1,18 +1,21 @@
+import argparse
 import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import mvskew
-from mvskew import load_csv, load_third_moment, max_skew
+from mvskew import cli, data, load_csv, load_third_moment, max_skew
 from mvskew.cli import main
-from mvskew.data import format_matrix
+from mvskew.data import DataError, PreconditionError, format_matrix
 
 
 def run_cli(args, tmp_path, monkeypatch=None):
@@ -524,6 +527,93 @@ def test_console_entry_point(tmp_path, iris_path):
     )
     assert result.returncode == 0, result.stderr
     assert "2.69722" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# matrix files, streamed slice by slice
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("precision", [6, 15])
+def test_streamed_files_equal_the_library_text(tmp_path, iris_path, iris, precision):
+    basis = max_skew(iris, 50, 2)
+    least = mvskew.min_skew(iris, dimension=2)
+    boot = mvskew.skew_boot(iris, replicates=40, units=150, measure="Mardia", seed=3)
+    projections = format_matrix(basis.projected, precision)
+    expected = {
+        "maxskew/csv/maxskew_directions.csv": format_matrix(basis.directions, precision),
+        "maxskew/csv/maxskew_skewness.csv": format_matrix(basis.skewness, precision),
+        "maxskew/csv/maxskew_projections.csv": projections,
+        "maxskew/csv/maxskew_scatter.csv": "proj1,proj2\n" + projections,
+        "maxskew/json/maxskew_scatter.csv": "proj1,proj2\n" + projections,
+        "minskew/csv/minskew_linear.csv": format_matrix(least.directions, precision),
+        "minskew/csv/minskew_skewness.csv": format_matrix(least.skewness, precision),
+        "minskew/csv/minskew_projections.csv": format_matrix(least.projected, precision),
+        "boot/csv/boot_replicates.csv": format_matrix(boot.replicates.reshape(-1, 1),
+                                                      precision),
+    }
+    jobs = {"maxskew": ("--iterations", "50", "--components", "2"),
+            "minskew": ("--dimension", "2"),
+            "boot": ("--measure", "Mardia", "--replicates", "40", "--units", "150",
+                     "--seed", "3")}
+    # 7 cells a slice: 3 rows of the projections, 7 of the replicates, so
+    # every file above but the skewness row spans slices, the last one short
+    with mock.patch.object(data, "FORMAT_CELLS", 7):
+        for job, options in jobs.items():
+            for fmt in ("csv", "json"):
+                assert main([job, str(iris_path), *options, "--columns", "1-4",
+                             "--precision", str(precision), "--format", fmt,
+                             "--output-dir", str(tmp_path / job / fmt)]) == 0
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
+
+
+def test_matrix_writer_memory_is_one_slice(tmp_path, capsys):
+    values = np.random.default_rng(0).standard_normal((2 ** 18, 4))
+    args = argparse.Namespace(output_dir=str(tmp_path), precision=15)
+    tracemalloc.start()
+    try:
+        cli._write(args, {"matrix.csv": ""}, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file is about 20 MB; the writer holds one slice of it
+    assert peak < 6 * 2 ** 20
+    assert (tmp_path / "matrix.csv").read_bytes() == format_matrix(values, 15).encode()
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'matrix.csv'}\n"
+
+
+@pytest.mark.parametrize("precision, matrix, error", [
+    (18, np.ones((2, 2)), PreconditionError),
+    (-1, np.ones((2, 2)), PreconditionError),
+    (6, np.ones((2, 2, 2)), DataError),
+])
+def test_matrix_writer_refusal_creates_no_file(tmp_path, capsys, precision, matrix, error):
+    args = argparse.Namespace(output_dir=str(tmp_path / "out"), precision=precision)
+    with pytest.raises(error):
+        cli._write(args, {"matrix.csv": "", "scatter.csv": "a,b\n"}, matrix)
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_text_files_are_utf8_in_any_locale(tmp_path):
+    # in the C locale without UTF-8 mode, Python's default file encoding is
+    # ASCII; a non-ASCII label must still reach the file, as UTF-8, as it
+    # was read. stdout is set to UTF-8, since the summary line prints the
+    # label through the locale's encoding
+    source = tmp_path / "labels.csv"
+    source.write_text("caf\u00e9,na\u00efve\n1,2\n3,5\n4,1\n6,6\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONIOENCODING="utf-8",
+               PYTHONPATH=str(Path(mvskew.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "mvskew.cli", "skew", str(source), "--measure", "fisher",
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "out" / "skew_fisher.csv").read_bytes().splitlines()
+    assert [line.split(b",")[0] for line in lines] == [
+        b"measure", "value.caf\u00e9".encode(), "value.na\u00efve".encode()]
 
 
 # every job of an iris session, each as CLI argv after the input file

@@ -222,6 +222,14 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
+def test_cli_writes_every_file_through_one_binary_path():
+    # cli._write encodes every file's text as UTF-8 and streams its matrix
+    # slice by slice: a whole-file string, or text in the locale's
+    # encoding, would bypass it
+    source = (SRC / "cli.py").read_text()
+    assert [call for call in ("format_matrix(", ".write_text(") if call in source] == []
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """The names a module imports but neither reads nor lists in __all__."""
     imported = [alias.asname or alias.name.split(".")[0]
