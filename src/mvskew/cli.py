@@ -263,6 +263,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdout is UTF-8, as every file is, in any locale; its error handler stays
+    with contextlib.suppress(AttributeError):  # a stdout without reconfigure
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

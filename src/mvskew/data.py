@@ -10,7 +10,8 @@ This module owns the two conventions everything else inherits:
 :func:`load_csv` parses each file of at least CACHE_BYTES once: it keeps
 the parsed values under ``$XDG_CACHE_HOME/mvskew``, keyed by the sha256 of
 the file's bytes, the header and column request and the loader itself, and
-reads them back while all three are unchanged. Every input file, a data CSV
+reads them back while all three are unchanged, in at most CACHE_CAPACITY
+bytes, the least recently used evicted first. Every input file, a data CSV
 or a third-moment file (``moments.load_third_moment``), is read by one
 reader: :func:`utf8_errors` names a byte that is not UTF-8,
 :func:`leading_rows` reads the head, :func:`parse_columns` the cells in
@@ -29,17 +30,16 @@ Argument checks that callers can get wrong (counts, indices, names)
 raise :class:`PreconditionError`; :func:`require_count` checks every count
 and index.
 
-:func:`format_matrix` writes every value exactly as C's ``"%.{p}g"`` does.
+:func:`format_slices` writes every value exactly as C's ``"%.{p}g"`` does.
 At p <= 15 a numpy kernel writes the finite nonzero values that print in
 fixed notation (decimal exponent -4 to p - 1) and that one pass settles,
 the bulk of any data. Every other cell -- a carry to the next power of ten,
 exponent form, 0, -0, nan, +-inf, and every value at p = 16 or 17, whose
 digit integer passes 2^53 -- takes the one ``%`` route: one call over
 them. A cell's route depends on the cell alone. The kernel formats a slice
-of at most FORMAT_CELLS cells at a time, as ASCII bytes;
+of at most FORMAT_CELLS cells at a time, as ASCII bytes, and
 :func:`format_slices` yields those slices, so a file is written slice by
-slice with the memory of one slice, and :func:`format_matrix` decodes and
-appends them into one string.
+slice with the memory of one slice.
 """
 
 from __future__ import annotations
@@ -63,13 +63,13 @@ __all__ = [
     "SingularityError",
     "DataMatrix",
     "load_csv",
-    "format_matrix",
+    "format_slices",
     "covariance",
     "inv_sqrt",
     "standardize",
 ]
 
-# cells formatted per slice by format_matrix, which bounds its temporaries
+# cells formatted per slice by format_slices, which bounds its temporaries
 FORMAT_CELLS = 1 << 15
 
 # relative eigenvalue floor below which a symmetric matrix counts as singular
@@ -81,8 +81,10 @@ EIG_RTOL = 1e-10
 # 2.4); this is the nearest power of two.
 CACHE_BYTES = 1 << 19
 
-# cache entries kept at most; a store evicts those with the oldest mtimes
-CACHE_ENTRIES = 8
+# bytes of cache entries kept at most: a parse whose values alone pass it is
+# not stored, and a store evicts the entries with the oldest mtimes until the
+# rest fit
+CACHE_CAPACITY = 1 << 28
 
 
 class DataError(ValueError):
@@ -453,14 +455,15 @@ def _cache_load(entry: Path, names: tuple[str, ...]) -> DataMatrix | None:
 
 def _cache_store(entry: Path, stamp: tuple[int, int, int], path: Path,
                  values: np.ndarray) -> None:
-    """Store a parse at ``entry``, unless the file changed while it was read,
-    and evict the entries with the oldest mtimes past CACHE_ENTRIES.
+    """Store a parse at ``entry``, unless the file changed while it was read
+    or its values alone pass CACHE_CAPACITY bytes, and evict the entries
+    with the oldest mtimes until the directory's entries fit in CACHE_CAPACITY.
 
     The entry is written under a temporary name and renamed into place, so
     no reader sees half of it. An unwritable cache directory stores nothing.
     """
     with contextlib.suppress(OSError):
-        if _stamp(path) != stamp:
+        if _stamp(path) != stamp or values.nbytes > CACHE_CAPACITY:
             return
         entry.parent.mkdir(parents=True, exist_ok=True)
         handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
@@ -471,10 +474,12 @@ def _cache_store(entry: Path, stamp: tuple[int, int, int], path: Path,
         finally:  # a failed write leaves the temporary file: remove it
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(temporary)
-        files = [f for f in entry.parent.iterdir() if f.suffix in (".npy", ".tmp")]
-        files.sort(key=lambda f: f.stat().st_mtime_ns)
-        for old in files[:-CACHE_ENTRIES]:
-            old.unlink()
+        files = [(f.stat(), f) for f in entry.parent.iterdir() if f.suffix in (".npy", ".tmp")]
+        kept = 0  # bytes of the newer entries, newest first
+        for status, old in sorted(files, key=lambda item: item[0].st_mtime_ns, reverse=True):
+            kept += status.st_size
+            if kept > CACHE_CAPACITY:
+                old.unlink()
 
 
 def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
@@ -494,7 +499,9 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     are unchanged. The header and the column request are checked first,
     so their errors are the same on a hit. Failed parses are not kept, an
     unreadable entry is parsed again and rewritten, and an unwritable cache
-    directory turns the cache off. At most CACHE_ENTRIES entries are kept.
+    directory turns the cache off. The entries take at most CACHE_CAPACITY
+    bytes, the least recently used evicted first; a parse larger than that
+    is not kept.
 
     Parameters
     ----------
@@ -687,10 +694,14 @@ def _format_rows(part: np.ndarray, precision: int) -> bytes:
 
 
 def format_slices(matrix, precision: int):
-    """The CSV bytes of :func:`format_matrix`'s text, as ASCII, one slice of
-    at most FORMAT_CELLS cells (or one row) at a time, from an iterator.
+    """CSV bytes of a matrix, one line per row, each value ``"%.{precision}g" % x``,
+    as ASCII, one slice of at most FORMAT_CELLS cells (or one row) at a time,
+    from an iterator. A 1-d input is one row. The bytes are exactly those of
+    C's ``"%.{precision}g"``, whatever the matrix and slice sizes and
+    whichever route (see the module docstring) a cell takes.
 
-    ``precision`` and the shape are checked on the call, before the first
+    ``precision`` must be an integer from 0 to 17 (PreconditionError) and the
+    matrix 1-d or 2-d (DataError), both checked on the call, before the first
     slice is asked for: a caller that opens its file after the call creates
     no file for a refused matrix.
     """
@@ -701,29 +712,6 @@ def format_slices(matrix, precision: int):
     rows = max(1, FORMAT_CELLS // max(matrix.shape[1], 1))
     return (_format_rows(matrix[start:start + rows], precision)
             for start in range(0, len(matrix), rows))
-
-
-def format_matrix(matrix, precision: int) -> str:
-    """CSV text of a matrix: one line per row, each value ``"%.{precision}g" % x``.
-
-    A 1-d input is one row. The bytes are exactly those of C's
-    ``"%.{precision}g"``, whatever the matrix size and whichever route a cell
-    takes. At precision 1..15 a numpy kernel writes the finite nonzero cells
-    that print in fixed notation and that one pass settles: there
-    10^(p-1-X) is an exact double and the digit integer stays below 2^53, so
-    one product, its exact rounding error and rint give dtoa's digits. A
-    carry to the next power of ten, a floor(log10) off by one, 16 or 17
-    digits (the integer passes 2^53), exponent form, 0, -0, nan and +-inf
-    take the one ``%`` route, a single call over their cells. The matrix is
-    formatted by :func:`format_slices`, FORMAT_CELLS cells at a time, which
-    bounds the temporaries.
-    ``precision`` must be an integer from 0 to 17 (PreconditionError).
-    """
-    text = ""
-    for piece in format_slices(matrix, precision):
-        # appending in place keeps the peak at the result plus one slice
-        text += piece.decode("ascii")
-    return text
 
 
 def covariance(data) -> np.ndarray:

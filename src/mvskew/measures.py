@@ -9,8 +9,10 @@ Mahalanobis Gram matrix of the whitened rows, at about n^2 d.
 Parametric p-values assume normal data and a large sample: the Mardia
 statistic n*b/6 is chi-square with d(d+1)(d+2)/6 degrees of freedom, the
 partial-skewness statistic n*b/(2(d+2)) is chi-square with d degrees of
-freedom. Directional skewness has no parametric null here; use the
-bootstrap (:mod:`mvskew.bootstrap`).
+freedom. :func:`chi2_sf` gives their upper tails in two regimes at every
+dof: the power series below y = dof/2 + 1, with y = x/2, and Legendre's
+continued fraction above. Directional skewness has no parametric null
+here; use the bootstrap (:mod:`mvskew.bootstrap`).
 """
 
 from __future__ import annotations
@@ -48,12 +50,6 @@ GRAM_RATIO = 4
 # of it, and at d = 32, n = 512 ran at about a quarter of the speed of the
 # row blocks
 GRAM_ELEMENTS = 2**15
-
-# chi2_sf keeps the closed form above y = a + 1 up to this many degrees of
-# freedom, where it stayed within 1.1e-13 of mpmath (4.0e-14 at 120,
-# Mardia's dof at d = 8); past it the continued fraction takes over, within
-# 2e-13 of mpmath at every dof tried up to 695,520 (d = 160)
-CLOSED_FORM_DOF = 200
 
 # _log_prefactor takes Stirling's form from a = dof/2 = 15 on: at a = 10 the
 # five-term remainder series was 3e-14 off mpmath, at 15 within 9e-15
@@ -95,15 +91,12 @@ class SkewnessReport:
 def chi2_sf(x: float, dof: int) -> float:
     """Upper tail P(chi2_dof >= x) = Q(a, y), with a = dof/2 and y = x/2.
 
-    Below y = a + 1 it is 1 - P(a, y), with P by its power series. Above,
-    while dof <= CLOSED_FORM_DOF, it is the closed form: with y = x/2,
-    Q = sum_{j<dof/2} e^-y y^j / j! for even dof, and Q = erfc(sqrt y) +
-    sum_{j<(dof-1)/2} e^-y y^(j+1/2) / Gamma(j+3/2) for odd dof, each term
-    formed from its logarithm and added with ``math.fsum``. Past that, each
-    of those terms would carry about dof * eps, so Q is Legendre's continued
-    fraction (modified Lentz; Press et al., Numerical Recipes, 6.2). The
-    result is clamped to [0, 1] only as a last guard. ``x`` must be >= 0
-    and ``dof`` an integer >= 1 (PreconditionError).
+    Two regimes at every dof (Press et al., Numerical Recipes, 6.2): below
+    y = a + 1 it is 1 - P(a, y), with P by its power series; above, Q is
+    Legendre's continued fraction (modified Lentz), within 2e-13 of mpmath
+    at every dof tried up to 695,520 (Mardia's at d = 160). The result is
+    clamped to [0, 1] only as a last guard. ``x`` must be >= 0 and ``dof``
+    an integer >= 1 (PreconditionError).
     """
     if not x >= 0:  # NaN too
         raise PreconditionError(f"chi-square statistic must be >= 0, got {x}")
@@ -111,17 +104,7 @@ def chi2_sf(x: float, dof: int) -> float:
     a, y = dof / 2.0, x / 2.0
     if y == 0 or y == math.inf:
         return float(y == 0)
-    if y < a + 1:
-        tail = 1.0 - _lower_series(a, y)
-    elif dof <= CLOSED_FORM_DOF:
-        log_y = math.log(y)
-        shift = 0.5 if dof % 2 else 0.0
-        head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
-        tail = math.fsum([head] + [
-            math.exp((j + shift) * log_y - y - math.lgamma(j + shift + 1.0))
-            for j in range(int(dof) // 2)])
-    else:
-        tail = _continued_fraction(a, y)
+    tail = 1.0 - _lower_series(a, y) if y < a + 1 else _continued_fraction(a, y)
     return min(max(tail, 0.0), 1.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvskew import DataMatrix, load_csv
+from mvskew.data import format_slices
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -12,6 +13,11 @@ GRAM_BLOCK = 1024
 
 # outcome of each acceptance criterion test, for the terminal summary
 _acceptance: dict[str, str] = {}
+
+
+def matrix_text(matrix, precision: int) -> str:
+    """The CSV text data.format_slices writes for a matrix, in one string."""
+    return b"".join(format_slices(matrix, precision)).decode("ascii")
 
 
 @pytest.fixture(autouse=True)

@@ -15,7 +15,9 @@ import pytest
 import mvskew
 from mvskew import cli, data, load_csv, load_third_moment, max_skew
 from mvskew.cli import main
-from mvskew.data import DataError, PreconditionError, format_matrix
+from mvskew.data import DataError, PreconditionError
+
+from conftest import matrix_text
 
 
 def run_cli(args, tmp_path, monkeypatch=None):
@@ -369,7 +371,7 @@ def test_singular_data_exit_1(tmp_path, capsys):
 def test_overflowing_moments_exit_1(tmp_path, capsys, scale, measure):
     path = tmp_path / "huge.csv"
     values = np.random.default_rng(0).gamma(2, size=(1000, 2)) * [scale, 1]
-    path.write_text("a,b\n" + format_matrix(values, 17))
+    path.write_text("a,b\n" + matrix_text(values, 17))
     code = main(["skew", str(path), "--measure", measure, "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == (
@@ -381,7 +383,7 @@ def test_overflowing_moments_exit_1(tmp_path, capsys, scale, measure):
 def test_overflowing_third_moment_exit_1(tmp_path, capsys, kind):
     path = tmp_path / "huge.csv"
     values = np.random.default_rng(0).gamma(2, size=(50, 3)) * [1, 1, 1e110]
-    path.write_text("a,b,c\n" + format_matrix(values, 17))
+    path.write_text("a,b,c\n" + matrix_text(values, 17))
     code = main(["third", str(path), "--kind", kind, "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == (
@@ -469,7 +471,7 @@ def test_hyphenated_tokens_are_labels(tmp_path):
     # a token is a range only when both halves are digits
     path = tmp_path / "hyphens.csv"
     rows = np.random.default_rng(5).gamma(2.0, size=(20, 4))
-    path.write_text("-abc,a-b,--,-5\n" + format_matrix(rows, 6))
+    path.write_text("-abc,a-b,--,-5\n" + matrix_text(rows, 6))
     code = main(["skew", str(path), "--measure", "fisher", "--columns=-5,--,a-b,-abc",
                  "--output-dir", str(tmp_path / "out")])
     assert code == 0
@@ -538,17 +540,17 @@ def test_streamed_files_equal_the_library_text(tmp_path, iris_path, iris, precis
     basis = max_skew(iris, 50, 2)
     least = mvskew.min_skew(iris, dimension=2)
     boot = mvskew.skew_boot(iris, replicates=40, units=150, measure="Mardia", seed=3)
-    projections = format_matrix(basis.projected, precision)
+    projections = matrix_text(basis.projected, precision)
     expected = {
-        "maxskew/csv/maxskew_directions.csv": format_matrix(basis.directions, precision),
-        "maxskew/csv/maxskew_skewness.csv": format_matrix(basis.skewness, precision),
+        "maxskew/csv/maxskew_directions.csv": matrix_text(basis.directions, precision),
+        "maxskew/csv/maxskew_skewness.csv": matrix_text(basis.skewness, precision),
         "maxskew/csv/maxskew_projections.csv": projections,
         "maxskew/csv/maxskew_scatter.csv": "proj1,proj2\n" + projections,
         "maxskew/json/maxskew_scatter.csv": "proj1,proj2\n" + projections,
-        "minskew/csv/minskew_linear.csv": format_matrix(least.directions, precision),
-        "minskew/csv/minskew_skewness.csv": format_matrix(least.skewness, precision),
-        "minskew/csv/minskew_projections.csv": format_matrix(least.projected, precision),
-        "boot/csv/boot_replicates.csv": format_matrix(boot.replicates.reshape(-1, 1),
+        "minskew/csv/minskew_linear.csv": matrix_text(least.directions, precision),
+        "minskew/csv/minskew_skewness.csv": matrix_text(least.skewness, precision),
+        "minskew/csv/minskew_projections.csv": matrix_text(least.projected, precision),
+        "boot/csv/boot_replicates.csv": matrix_text(boot.replicates.reshape(-1, 1),
                                                       precision),
     }
     jobs = {"maxskew": ("--iterations", "50", "--components", "2"),
@@ -578,7 +580,7 @@ def test_matrix_writer_memory_is_one_slice(tmp_path, capsys):
         tracemalloc.stop()
     # the file is about 20 MB; the writer holds one slice of it
     assert peak < 6 * 2 ** 20
-    assert (tmp_path / "matrix.csv").read_bytes() == format_matrix(values, 15).encode()
+    assert (tmp_path / "matrix.csv").read_bytes() == matrix_text(values, 15).encode()
     assert capsys.readouterr().out == f"wrote {tmp_path / 'matrix.csv'}\n"
 
 
@@ -596,15 +598,14 @@ def test_matrix_writer_refusal_creates_no_file(tmp_path, capsys, precision, matr
 
 
 def test_text_files_are_utf8_in_any_locale(tmp_path):
-    # in the C locale without UTF-8 mode, Python's default file encoding is
-    # ASCII; a non-ASCII label must still reach the file, as UTF-8, as it
-    # was read. stdout is set to UTF-8, since the summary line prints the
-    # label through the locale's encoding
+    # in the C locale without UTF-8 mode, Python's default file and stdout
+    # encoding is ASCII; a non-ASCII label must still reach the file and the
+    # summary line on stdout, as UTF-8, as it was read
     source = tmp_path / "labels.csv"
     source.write_text("caf\u00e9,na\u00efve\n1,2\n3,5\n4,1\n6,6\n", encoding="utf-8")
     env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
-               PYTHONIOENCODING="utf-8",
                PYTHONPATH=str(Path(mvskew.__file__).resolve().parents[1]))
+    env.pop("PYTHONIOENCODING", None)
     result = subprocess.run(
         [sys.executable, "-m", "mvskew.cli", "skew", str(source), "--measure", "fisher",
          "--output-dir", str(tmp_path / "out")],
@@ -614,6 +615,10 @@ def test_text_files_are_utf8_in_any_locale(tmp_path):
     lines = (tmp_path / "out" / "skew_fisher.csv").read_bytes().splitlines()
     assert [line.split(b",")[0] for line in lines] == [
         b"measure", "value.caf\u00e9".encode(), "value.na\u00efve".encode()]
+    first, second = mvskew.fisher_skew(load_csv(source))
+    assert result.stdout.splitlines()[0] == (
+        f"measure=fisher, value.caf\u00e9={first:.6g}, value.na\u00efve={second:.6g}"
+        .encode("utf-8"))
 
 
 # every job of an iris session, each as CLI argv after the input file

@@ -187,26 +187,53 @@ def test_read_only_cache_directory_still_loads(tmp_path, cache_all, monkeypatch)
     assert len(entries(cache_all)) == 1
 
 
-def test_entry_bound_evicts_the_least_recently_used(tmp_path, cache_all):
-    def load(k: int) -> set[Path]:
-        """Load file k; returns the entries this adds."""
+def _loader(tmp_path, cache: Path):
+    def load(k: int, rows: int = 2) -> set[Path]:
+        """Load a 2-column file of ``rows`` rows, k in its cells; returns
+        the entries this adds."""
         path = tmp_path / f"in{k}.csv"
-        path.write_text(f"a,b\n{k},1\n2,{k}\n")
-        before = set(entries(cache_all))
+        path.write_text("a,b\n" + "".join(f"{k},{i}\n" for i in range(rows)))
+        before = set(entries(cache))
         load_csv(path)
-        return set(entries(cache_all)) - before
+        return set(entries(cache)) - before
+    return load
 
+
+def test_entry_bound_evicts_the_least_recently_used(tmp_path, cache_all, monkeypatch):
+    load = _loader(tmp_path, cache_all)
     stored = []
-    for k in range(data.CACHE_ENTRIES):
+    for k in range(4):
         [entry] = load(k)
         os.utime(entry, ns=(k * 10**9, k * 10**9))  # distinct, old mtimes
         stored.append(entry)
+    # room for the four entries and not a byte more
+    monkeypatch.setattr(data, "CACHE_CAPACITY", sum(e.stat().st_size for e in stored))
     assert load(0) == set()  # a hit, which refreshes its mtime
-    assert load(data.CACHE_ENTRIES)
-    assert len(entries(cache_all)) == data.CACHE_ENTRIES
+    assert load(4)
+    assert len(entries(cache_all)) == 4
     assert not stored[1].exists()
     assert stored[0].exists()
+    # an entry larger than the others evicts as many of the oldest as it
+    # needs room for: two here
+    [large] = load(5, rows=6)
+    assert [e.exists() for e in stored] == [True, False, False, False]
+    assert large.exists()
+    assert sum(e.stat().st_size for e in entries(cache_all)) <= data.CACHE_CAPACITY
     assert list(cache_all.glob("*.tmp")) == []
+
+
+def test_a_parse_larger_than_the_bound_is_not_kept(tmp_path, cache_all, monkeypatch):
+    load = _loader(tmp_path, cache_all)
+    [small] = load(0)
+    os.utime(small, ns=(10**9, 10**9))
+    # the values of 3 rows of 2 columns take 48 bytes
+    monkeypatch.setattr(data, "CACHE_CAPACITY", 47)
+    assert load(1, rows=3) == set()
+    assert entries(cache_all) == [small]  # and nothing was evicted for it
+    # the values fit, the entry with its header does not fit beside small
+    monkeypatch.setattr(data, "CACHE_CAPACITY", 48 + small.stat().st_size)
+    [kept] = load(2, rows=3)
+    assert entries(cache_all) == [kept]
 
 
 def test_unreadable_file_has_no_cache_entry(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""CSV round trips: what ``format_matrix`` writes, ``load_csv`` reads back.
+"""CSV round trips: what ``format_slices`` writes, ``load_csv`` reads back.
 
-``format_matrix`` must write exactly the bytes of a per-cell ``%`` format,
+``format_slices`` must write exactly the bytes of a per-cell ``%`` format,
 for any double at any precision and any slice size. Property tests draw
 finite matrices, extreme values included, and vary the file's layout:
 header or none, quoted cells, CRLF line ends, blank lines and a trailing
@@ -12,8 +12,6 @@ row and column.
 import math
 import re
 import struct
-import sys
-import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -23,7 +21,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mvskew import DataError, PreconditionError, data, load_csv
-from mvskew.data import format_matrix
+from mvskew.data import format_slices
+
+from conftest import matrix_text
 
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
          1.7976931348623157e308, 3.0, -17.0, 0.1)
@@ -56,22 +56,22 @@ def test_format_matrix_matches_per_cell_format(precision):
                        [3.0, -2.0, 1e16, 0.0],
                        [1 / 3, -2.5e-300, 123456789.0, 0.1]])
     values = np.vstack([values, np.random.default_rng(precision).standard_normal((5, 4))])
-    assert format_matrix(values, precision) == per_cell(values, precision)
-    assert format_matrix(values[0], precision) == per_cell(values[0], precision)
-    assert format_matrix(values[:, :1], precision) == per_cell(values[:, :1], precision)
-    assert format_matrix(values[:, :0], precision) == per_cell(values[:, :0], precision)
+    assert matrix_text(values, precision) == per_cell(values, precision)
+    assert matrix_text(values[0], precision) == per_cell(values[0], precision)
+    assert matrix_text(values[:, :1], precision) == per_cell(values[:, :1], precision)
+    assert matrix_text(values[:, :0], precision) == per_cell(values[:, :0], precision)
 
 
 @pytest.mark.parametrize("cells", [8, 2 ** 14])
 def test_format_matrix_refuses_more_than_two_dimensions(cells):
     with pytest.raises(DataError, match="ndim=3$"):
-        format_matrix(np.ones((2, 2, cells // 4)), 6)
+        format_slices(np.ones((2, 2, cells // 4)), 6)
 
 
 @pytest.mark.parametrize("precision", [-1, 1.5, True, 18])
 def test_format_matrix_refuses_a_precision_out_of_range(precision):
     with pytest.raises(PreconditionError, match="precision"):
-        format_matrix(np.ones((2, 2)), precision)
+        format_slices(np.ones((2, 2)), precision)
 
 
 def _near_power_of_ten(k: int, step: int) -> float:
@@ -101,8 +101,8 @@ def test_format_matrix_is_the_percent_format_of_every_double(picks, d, n, precis
     values = np.array(picks.draw(st.lists(CELLS, min_size=n * d, max_size=n * d)))
     values = values.reshape(n, d) * picks.draw(st.sampled_from([1.0, -1.0]))
     with mock.patch.object(data, "FORMAT_CELLS", slice_cells):
-        assert format_matrix(values, precision) == per_cell(values, precision)
-        assert format_matrix(values[0], precision) == per_cell(values[0], precision)
+        assert matrix_text(values, precision) == per_cell(values, precision)
+        assert matrix_text(values[0], precision) == per_cell(values[0], precision)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -111,7 +111,7 @@ def test_row_counts_around_the_slice_size(offset):
     rng = np.random.default_rng(offset + 1)
     values = rng.standard_normal((data.FORMAT_CELLS // d + offset, d))
     values *= 10.0 ** rng.integers(-6, 17, values.shape)
-    assert format_matrix(values, 15) == per_cell(values, 15)
+    assert matrix_text(values, 15) == per_cell(values, 15)
 
 
 @pytest.mark.parametrize("value, precision, text", [
@@ -120,7 +120,7 @@ def test_row_counts_around_the_slice_size(offset):
 def test_exact_ties_round_half_even(value, precision, text):
     # 2.5, 1.5, 0.125 and 0.375 are exact doubles; 0.15 lies below its decimal
     assert f"%.{precision}g" % value == text
-    assert format_matrix([value, -value], precision) == f"{text},-{text}\n"
+    assert matrix_text([value, -value], precision) == f"{text},-{text}\n"
 
 
 def _within_ulps(value: float, ulps: int) -> list[float]:
@@ -147,7 +147,7 @@ def test_cells_next_to_powers_of_ten_and_carries_are_the_percent_format(precisio
         cells += _within_ulps(float(Decimal(10) ** k), 3)
         cells += _within_ulps(_carry_boundary(k, p), 3)
     values = np.array([cells, [-c for c in cells]])
-    assert format_matrix(values, p) == per_cell(values, p)
+    assert matrix_text(values, p) == per_cell(values, p)
 
 
 @pytest.mark.parametrize("precision", range(1, 14))
@@ -163,26 +163,15 @@ def test_a_carry_to_the_next_power_of_ten_takes_the_percent_route(precision):
     x = np.array(cells + [-c for c in cells])
     assert per_cell(x, p) == per_cell(powers + [-c for c in powers], p)
     assert not data._fixed_digits(x, p)[0].any()
-    assert format_matrix(x, p) == per_cell(x, p)
+    assert matrix_text(x, p) == per_cell(x, p)
 
 
 @pytest.mark.parametrize("precision, calls", [(1, 1), (15, 1), (16, 0), (17, 0)])
 def test_the_kernel_route_depends_on_the_precision_alone(precision, calls):
     # one cell is as much the kernel's as a million: no slice is too small
     with mock.patch.object(data, "_fixed_cells", wraps=data._fixed_cells) as kernel:
-        assert format_matrix([[0.5]], precision) == f"%.{precision}g\n" % 0.5
+        assert matrix_text([[0.5]], precision) == f"%.{precision}g\n" % 0.5
     assert kernel.call_count == calls
-
-
-def test_format_matrix_memory_is_one_slice():
-    values = np.random.default_rng(0).standard_normal((2 ** 18, 4))
-    tracemalloc.start()
-    try:
-        text = format_matrix(values, 15)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - sys.getsizeof(text) < 6 * 2 ** 20
 
 
 @REUSED_FILE
@@ -193,7 +182,7 @@ def test_round_trip_is_bit_exact(tmp_path, values, header, label, eol, data):
     quoted = data.draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))
     blank = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     cells = [f'"{c}"' if q else c for c, q in
-             zip(format_matrix(values, 17).replace("\n", ",").split(","), quoted)]
+             zip(matrix_text(values, 17).replace("\n", ",").split(","), quoted)]
     lines = [",".join(cells[i * d:(i + 1) * d]) for i in range(n)]
     if label:
         lines = [f"{line},{data.draw(LABELS)}" for line in lines]
@@ -224,7 +213,7 @@ def test_bad_cell_is_named(tmp_path, values, bad, select, data):
     n, d = values.shape
     assume(d > 1 or bad != "")  # an empty one-cell row is a blank line
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
-    rows = [line.split(",") for line in format_matrix(values, 17).splitlines()]
+    rows = [line.split(",") for line in matrix_text(values, 17).splitlines()]
     rows[i][j] = bad
     header = ",".join(f"c{k + 1}" for k in range(d))
     path = tmp_path / "bad.csv"

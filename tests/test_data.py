@@ -24,7 +24,7 @@ from mvskew import (
     standardize,
     third_moment,
 )
-from mvskew.data import as_data_matrix, centered, format_matrix
+from mvskew.data import as_data_matrix, centered, format_slices
 from mvskew.measures import _mori
 
 
@@ -554,7 +554,7 @@ ARGUMENT_CASES = {
     "skew_boot-measure": (lambda x, path: skew_boot(x, 2, 11, "Kurtosis"),
                           "measure must be one of ('Directional', 'Partial', 'Mardia'), "
                           "got 'Kurtosis'"),
-    "format_matrix-precision": (lambda x, path: format_matrix(x.values, 18),
+    "format_matrix-precision": (lambda x, path: format_slices(x.values, 18),
                                 "precision must be from 0 to 17, got 18"),
     "block-i": (lambda x, path: block(third_moment(x, "raw"), np.int64(5)),
                 "i must be from 1 to 4, got 5"),

@@ -388,6 +388,10 @@ def test_chi2_sf_against_mpmath_oracle():
              for dof in (1, 2, 4, 20, 111, 200, 816, 5984)]
     cases += [(scale * dof, dof) for dof in map(_mardia_dof, (64, 96, 128, 160))
               for scale in (0.95, 0.99, 0.995, 0.999, 1.0, 1.001, 1.005, 1.01, 1.02, 1.05)]
+    # the continued fraction's side of y = a + 1 at small and moderate dof
+    cases += [(2 * (dof / 2 + 1) * scale, dof)
+              for dof in (1, 3, 5, 10, 20, 35, 56, 84, 120, 165, 199)
+              for scale in (1.0001, 1.1, 2, 10)]
     for x, dof in cases:
         oracle = float(mpmath.gammainc(dof / 2.0, a=x / 2.0, regularized=True))
         value = chi2_sf(x, dof)
@@ -399,7 +403,7 @@ def test_chi2_sf_against_mpmath_oracle():
        scale=st.floats(0.0, 3.0), step=st.floats(1e-9, 1.0))
 def test_chi2_sf_is_a_tail_probability(dof, scale, step):
     # in [0, 1] and non-increasing in x at fixed dof, on both sides of the
-    # series/continued-fraction switch and of CLOSED_FORM_DOF
+    # series/continued-fraction switch at y = dof/2 + 1
     x = scale * dof
     upper = chi2_sf(x, dof)
     assert 0.0 <= chi2_sf(x * (1.0 + step), dof) <= upper <= 1.0

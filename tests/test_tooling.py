@@ -78,7 +78,7 @@ def test_each_test_has_its_own_cache_home(tmp_path, cache_home, monkeypatch):
 
 
 def test_import_builds_no_format_table():
-    # format_matrix builds its digit table on first use, so import stays cheap
+    # format_slices builds its digit table on first use, so import stays cheap
     code = "import mvskew; print(mvskew.data._digit_table.cache_info().currsize)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -227,7 +227,7 @@ def test_cli_writes_every_file_through_one_binary_path():
     # slice by slice: a whole-file string, or text in the locale's
     # encoding, would bypass it
     source = (SRC / "cli.py").read_text()
-    assert [call for call in ("format_matrix(", ".write_text(") if call in source] == []
+    assert ".write_text(" not in source
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -247,6 +247,45 @@ def test_no_unused_imports():
                  if path.name != "__init__.py"
                  for name in _unused_imports(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def _unread_definitions(trees: dict[str, ast.Module], public: set[str]) -> list[str]:
+    """The top-level functions and classes of each module that no code outside
+    their own definition reads, by name or attribute, or imports from another
+    module, and that ``public`` does not list."""
+    loads, importers = {}, {}  # name -> the ids of its loads, the modules importing it
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                loads.setdefault(name, set()).add(id(node))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    importers.setdefault(alias.name, set()).add(module)
+    found = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = definition.name
+            inside = {id(node) for node in ast.walk(definition)}
+            if not (loads.get(name, set()) - inside or importers.get(name, set()) - {module}
+                    or name in public):
+                found.append(f"{module}: {name}")
+    return found
+
+
+def test_every_definition_is_read_or_public():
+    # no public function exists that nothing needs: a module's function or
+    # class is read elsewhere in the package or named in mvskew.__all__
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _unread_definitions(trees, set(mvskew.__all__)) == []
+    sample = {"a.py": ast.parse("def f():\n    return f()\ndef g():\n    pass\n"
+                                "class C:\n    pass\nclass D:\n    pass\nx = g\n"
+                                "from .a import D\n"),
+              "b.py": ast.parse("from .a import C\n")}
+    assert _unread_definitions(sample, set()) == ["a.py: f", "a.py: D"]
+    assert _unread_definitions(sample, {"f", "D"}) == []
 
 
 def _state_assignments(tree: ast.AST) -> list[int]:
