@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -31,35 +32,39 @@ __all__ = ["main"]
 SKEW_MEASURES = ("fisher", "mardia", "partial")
 
 
+def _is_index(text: str) -> bool:
+    """Whether ``text`` is ASCII digits, less outer whitespace: int refuses '²'."""
+    return text.strip().isascii() and text.strip().isdigit()
+
+
 def _parse_selection(spec: str):
-    """Parse a --columns value: names, 1-based indices, and ranges like 1-4."""
-    out = []
+    """Parse a --columns or --rows value: names, 1-based indices, and ranges
+    like 1-4. Every token is checked first; a range's indices are then made
+    only as they are read, so the first one out of bounds ends the check."""
+    parts = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
-        if "-" in token:
-            lo, _, hi = token.partition("-")
-            if lo.strip().isdigit() and hi.strip().isdigit():
-                lo_i, hi_i = int(lo), int(hi)
-                if lo_i > hi_i or lo_i < 1:
-                    raise PreconditionError(f"bad range {token!r} in selection")
-                out.extend(range(lo_i, hi_i + 1))
-                continue
-        if token.isdigit():
-            out.append(int(token))
+        lo, _, hi = token.partition("-")
+        if _is_index(lo) and _is_index(hi):
+            lo_i, hi_i = int(lo), int(hi)
+            if lo_i > hi_i or lo_i < 1:
+                raise PreconditionError(f"bad range {token!r} in selection")
+            parts.append(range(lo_i, hi_i + 1))
         else:
-            out.append(token)
-    if not out:
+            parts.append((int(token) if _is_index(token) else token,))
+    if not parts:
         raise PreconditionError(f"empty selection {spec!r}")
-    return out
+    return itertools.chain.from_iterable(parts)
 
 
 def _parse_rows(spec: str, n: int):
-    rows = _parse_selection(spec)
-    for r in rows:
+    rows = []
+    for r in _parse_selection(spec):
         require_count("row", r, 1, n)
-    return [r - 1 for r in rows]
+        rows.append(r - 1)
+    return rows
 
 
 def _load(args) -> DataMatrix:

@@ -5,7 +5,7 @@ All measures share the 1/n moment convention, the row sums
 Mardia's skewness takes one of two routes, chosen from (n, d) alone: the
 sum of the d^3 squares of the standardized third moment, at about n d^3 / 2
 flops, or, when GRAM_RATIO * n <= d^2, the sum of (z_i' z_j)^3 over the
-Mahalanobis Gram matrix of the whitened rows, at about n^2 d.
+Mahalanobis Gram matrix of each row set's whitened rows, at about n^2 d.
 Parametric p-values assume normal data and a large sample: the Mardia
 statistic n*b/6 is chi-square with d(d+1)(d+2)/6 degrees of freedom, the
 partial-skewness statistic n*b/(2(d+2)) is chi-square with d degrees of
@@ -44,11 +44,10 @@ __all__ = [
 # and in bootstrap-sized stacks, and the slower in some cells past d^2 / 2
 GRAM_RATIO = 4
 
-# the Gram matrix is formed max(1, GRAM_ELEMENTS // n) rows at a time, over
-# as many row sets of a stack as keep one product within 2^15 floats (256 KB)
-# while n <= 2^15, so it stays in cache; a whole n x n Gram matrix falls out
-# of it, and at d = 32, n = 512 ran at about a quarter of the speed of the
-# row blocks
+# a row set's Gram matrix is formed max(1, GRAM_ELEMENTS // n) rows at a
+# time, so one product holds at most 2^15 floats (256 KB) while n <= 2^15 and
+# stays in cache; a whole n x n Gram matrix falls out of it, and at d = 32,
+# n = 512 ran at about a quarter of the speed of the row blocks
 GRAM_ELEMENTS = 2**15
 
 # _log_prefactor takes Stirling's form from a = dof/2 = 15 on: at a = 10 the
@@ -94,9 +93,10 @@ def chi2_sf(x: float, dof: int) -> float:
     Two regimes at every dof (Press et al., Numerical Recipes, 6.2): below
     y = a + 1 it is 1 - P(a, y), with P by its power series; above, Q is
     Legendre's continued fraction (modified Lentz), within 2e-13 of mpmath
-    at every dof tried up to 695,520 (Mardia's at d = 160). The result is
-    clamped to [0, 1] only as a last guard. ``x`` must be >= 0 and ``dof``
-    an integer >= 1 (PreconditionError).
+    at every dof tried up to 695,520 (Mardia's at d = 160). It may rise by
+    2e-14 relative at most between neighbouring doubles x, worst at the
+    switch, and is clamped to [0, 1] only as a last guard. ``x`` must be
+    >= 0 and ``dof`` an integer >= 1 (PreconditionError).
     """
     if not x >= 0:  # NaN too
         raise PreconditionError(f"chi-square statistic must be >= 0, got {x}")
@@ -116,7 +116,8 @@ def _log_prefactor(a: float, y: float) -> float:
     -a phi(y/a) + ln(a / 2 pi) / 2 - s(a), with phi(l) = l - 1 - ln l and
     s(a) Stirling's remainder of ln Gamma(a). Below y = a/2 the direct form
     stays: P(a, y) is under e^(-0.19 a) there, so its relative error does not
-    reach 1 - P.
+    reach 1 - P; and as y/a -> 0, t = (y - a)/a below rounds to -1, where
+    log1p raises ValueError (at dof 30, near x = 3.5e-37).
     """
     if a < STIRLING_FROM or 2.0 * y < a:
         return a * math.log(y) - y - math.lgamma(a)
@@ -211,11 +212,10 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
     """Mardia's skewness of each whitened row set in a stack (..., n, d).
 
     With few rows next to d^2 (:func:`gram_route`), it is
-    (1/n^2) sum_ij (z_i' z_j)^3 (Mardia 1970), summed over blocks of
-    ``max(1, GRAM_ELEMENTS // n)`` rows i of the Gram matrix, for as many
-    row sets at a time as keep a block's cubes within ``GRAM_ELEMENTS``
-    floats over the whole group. Otherwise it is the definition, the sum of
-    the d^3 squares of the third moment. The two agree to a few ulps.
+    (1/n^2) sum_ij (z_i' z_j)^3 (Mardia 1970), summed one row set at a time
+    over blocks of ``max(1, GRAM_ELEMENTS // n)`` rows i of its Gram matrix.
+    Otherwise it is the definition, the sum of the d^3 squares of the third
+    moment. The two agree to a few ulps.
 
     The route and the row blocks depend on (n, d) alone, and numpy sums each
     slice's contiguous row of terms by itself, so a slice has the same value
@@ -230,18 +230,16 @@ def mardia_values(z: np.ndarray) -> np.ndarray:
         return squares.reshape(z.shape[:-2] + (d**3,)).sum(axis=-1)
     size = max(1, GRAM_ELEMENTS // n)
     stack = z.reshape(-1, n, d)
-    group = max(1, GRAM_ELEMENTS // (min(size, n) * n))
     sums = np.empty(len(stack))
-    for first in range(0, len(stack), group):
-        rows = stack[first:first + group]
+    for k, rows in enumerate(stack):
         total = 0.0
         for start in range(0, n, size):
             # one name for the block: the previous block is freed as this
             # one is formed, so at most two blocks are live
-            cubes = rows[:, start:start + size] @ np.swapaxes(rows, -1, -2)
+            cubes = rows[start:start + size] @ rows.T
             cubes *= cubes * cubes
-            total = total + cubes.reshape(len(rows), -1).sum(axis=-1)
-        sums[first:first + group] = total
+            total += cubes.sum()
+        sums[k] = total
     return sums.reshape(z.shape[:-2]) / (n * n)
 
 

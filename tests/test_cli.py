@@ -490,6 +490,9 @@ def test_hyphenated_tokens_are_labels(tmp_path):
     ("--rows", "a", "row must be an integer, got 'a'"),
     ("--rows", "0", "row must be from 1 to 150, got 0"),
     ("--rows", "151", "row must be from 1 to 150, got 151"),
+    ("--columns", "²", "no column named '²'"),
+    ("--rows", "²", "row must be an integer, got '²'"),
+    ("--columns", "1-²", "no column named '1-²'"),
 ])
 def test_selection_errors_exit_2(tmp_path, iris_path, capsys, option, value, message):
     code = main(["skew", str(iris_path), "--measure", "fisher", option, value,
@@ -497,6 +500,25 @@ def test_selection_errors_exit_2(tmp_path, iris_path, capsys, option, value, mes
     assert code == 2
     assert capsys.readouterr().err == f"mvskew: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--rows", "row must be from 1 to 150, got 151"),
+    ("--columns", "column must be from 1 to 5, got 6"),
+])
+def test_a_long_range_stops_at_its_first_bad_index(tmp_path, iris_path, capsys,
+                                                   option, message):
+    # a list of two million indices would take tens of MB
+    tracemalloc.start()
+    try:
+        code = main(["skew", str(iris_path), "--measure", "fisher", option, "1-2000000",
+                     "--output-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"mvskew: {message}\n"
+    assert peak < 8 * 2**20
 
 
 def test_bad_subcommand_exit_2(tmp_path):

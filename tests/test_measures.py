@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -171,22 +172,14 @@ def test_mardia_routes_agree_on_both_sides_of_the_rule(d, ratio, gram, monkeypat
         assert abs(routes["gram"] - value) <= 1e-13 * value
 
 
-def _gram_group(n):
-    """Row sets per Gram product, as mardia_values counts them: one block of
-    max(1, GRAM_ELEMENTS // n) rows (at most n) by n columns each."""
-    rows = min(max(1, measures.GRAM_ELEMENTS // n), n)
-    return max(1, measures.GRAM_ELEMENTS // (rows * n))
-
-
 def test_gram_route_slices_keep_their_own_bits():
-    # n = 200 spans two row blocks of the Gram matrix, one row set a group;
-    # n = 40 is one row block, 20 row sets a group; stacks of one group less
-    # one, one group and one group and one
+    # n = 200 spans two row blocks of the Gram matrix, n = 40 is one; stacks
+    # of none, one and two row sets, and of 19, 20 and 21
     assert measures.GRAM_ELEMENTS // 200 < 200
     rng = np.random.default_rng(3)
-    for n, d in ((200, 32), (40, 16)):
+    for n, d, counts in ((200, 32, (0, 1, 2)), (40, 16, (19, 20, 21))):
         assert measures.gram_route(n, d)
-        for count in (_gram_group(n) - 1, _gram_group(n), _gram_group(n) + 1):
+        for count in counts:
             z = _whitened(rng, (count, n, d))
             stacked = mardia_values(z)
             assert stacked.shape == (count,)
@@ -226,10 +219,9 @@ def test_gram_route_holds_two_blocks_at_most():
 
 
 def test_a_gram_stack_holds_two_blocks_at_most():
-    # the bound holds over the stack: 16 row sets of 200 rows take one row
-    # set a product, where 16 at once would make 16 x 260 KB of cubes
+    # the bound holds over the stack: each product is of one row set, where
+    # 16 row sets at once would make 16 x 260 KB of cubes
     z = _whitened(np.random.default_rng(6), (16, 200, 32))
-    assert _gram_group(200) == 1
     block = measures.GRAM_ELEMENTS * z.itemsize
     expected = mardia_values(z)
     tracemalloc.start()
@@ -407,6 +399,20 @@ def test_chi2_sf_is_a_tail_probability(dof, scale, step):
     x = scale * dof
     upper = chi2_sf(x, dof)
     assert 0.0 <= chi2_sf(x * (1.0 + step), dof) <= upper <= 1.0
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0, 2.0])
+def test_chi2_sf_rises_by_2e_14_at_most_between_neighbouring_doubles(f):
+    # the 41 doubles around x = f * 2(a + 1); at f = 1 the series below the
+    # switch and the continued fraction above it meet, and rounding makes the
+    # tail rise by up to 1.2e-14 relative there (dof 27)
+    for dof in range(1, 401):
+        xs = [f * (dof + 2.0)]
+        for _ in range(20):
+            xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], math.inf)]
+        tails = [chi2_sf(x, dof) for x in xs]
+        for upper, lower in zip(tails, tails[1:]):
+            assert lower - upper <= 2e-14 * upper, (dof, f)
 
 
 def test_chi2_sf_stays_at_most_one_at_large_dof():
