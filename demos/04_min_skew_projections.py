@@ -1,10 +1,9 @@
 """Symmetrize: project skewness away instead of chasing it.
 
-The right singular vectors of the standardized third cumulant belonging to
-its smallest singular values span the directions along which the whitened
-data are least skewed; when the cumulant is genuinely rank deficient those
-projections are exactly weakly symmetric (null third cumulant). This is
-the mirror image of projection pursuit.
+The right singular vectors B of the standardized third cumulant K belonging
+to its smallest singular values minimise ||KB||_F^2; when K is genuinely
+rank deficient those projections are exactly weakly symmetric (null third
+cumulant). This is the mirror image of projection pursuit.
 """
 
 from pathlib import Path

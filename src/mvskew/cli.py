@@ -2,7 +2,7 @@
 
 Subcommands mirror the library: ``third`` (moment matrices), ``skew``
 (fisher/mardia/partial reports), ``maxskew`` (most-skewed projections),
-``minskew`` (least-skewed projections), ``boot`` (bootstrap p-values).
+``minskew`` (min-skew projections), ``boot`` (bootstrap p-values).
 Exit status is 0 on success, 2 on bad usage or a library
 ``PreconditionError``, 1 on other data, computation and file-system
 errors, with a one-line diagnostic on stderr.

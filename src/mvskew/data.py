@@ -320,9 +320,9 @@ def _require_distinct(names: tuple[str, ...], where: str = "") -> None:
 
 
 def _resolve_columns(columns, names: list[str]) -> list[int]:
-    """Map labels / 1-based indices to 0-based positions; a bare str is one label."""
+    """Map labels / 1-based indices to 0-based positions; a bare str or scalar is one."""
     out = []
-    for col in [columns] if isinstance(columns, str) else columns:
+    for col in [columns] if isinstance(columns, (str, int, float, np.generic)) else columns:
         if not isinstance(col, str):
             require_count("column", col, 1, len(names))
             out.append(int(col) - 1)
@@ -512,9 +512,9 @@ def load_csv(path, columns=None, header: bool | None = None) -> DataMatrix:
     columns : str, int or sequence of str or int, optional
         Columns to keep, by label or by *1-based* position (matching the
         command-line ``--columns 1-4`` syntax); a position must be an int or
-        a numpy integer, not a bool, and a bare str is one label, of one
-        column only (PreconditionError). Default: the numeric columns. Only
-        the columns kept need distinct labels (DataError).
+        a numpy integer, not a bool, a bare str is one label, of one column
+        only, and a bare int one position (PreconditionError). Default: the
+        numeric columns. Only the columns kept need distinct labels (DataError).
     header : bool, optional
         Whether the first row is a header. Default auto-detects: the first
         row is treated as a header when any of its cells is not a number.

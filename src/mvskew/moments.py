@@ -12,12 +12,13 @@ depends on d alone, from the d(d+1)/2 distinct pairwise products x_i x_j,
 i <= j, written in place into one array per block. No n x d^2 array of
 pairwise products is built, a block's pair array holds at most 2^16 doubles
 (512 KB) per row set while d <= 22, and a row set's moment has the same bits
-alone as in a stack of row sets. Every slot
-(i,j,h) reads the pair sum of its sorted triple, so a computed moment is
-exactly symmetric by construction. The finiteness and symmetry checks run
-only in the ThirdMomentMatrix constructor, which third_moment and matrices
-from elsewhere pass through (load_third_moment, transform_third,
-cumulant_from_moments); the stacked routes never do.
+alone as in a stack of row sets. Every slot (i,j,h) reads the pair sum of
+its sorted triple, and cumulant_from_moments fills its slots from pair rows
+the same way, so computed moments and cumulants arrive exactly symmetric.
+The finiteness and symmetry checks run only in the ThirdMomentMatrix
+constructor, which third_moment and matrices from elsewhere pass through
+(load_third_moment, transform_third, cumulant_from_moments); the stacked
+routes never do.
 """
 
 from __future__ import annotations
@@ -215,8 +216,12 @@ def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:
     """Third cumulant from raw moments.
 
     Evaluates K3 = M3 - M2 (x) mu - mu (x) M2 - vec(M2) mu' + 2 mu (x) mu' (x) mu,
-    where M2 is the raw second moment and mu the mean, both on the same 1/n
-    convention as ``m3``. Agrees with third_moment(data, 'central') to 1e-10.
+    M2 the raw second moment and mu the mean on the 1/n convention of ``m3``,
+    on the pair rows (i, j), i <= j, whose sorted triples then fill every
+    slot, so the result is exactly index-symmetric. The terms cancel: with T
+    the largest sum of their magnitudes over the entries, of order |mu|^3,
+    it agrees with third_moment(data, 'central') to within 16 eps T (tested).
+    Center the data first when |mu| is large against the spread.
     """
     if m3.kind != "raw":
         raise DataError(f"need a raw third moment, got kind={m3.kind!r}")
@@ -227,17 +232,11 @@ def cumulant_from_moments(m3: ThirdMomentMatrix, m2, mu) -> ThirdMomentMatrix:
         raise DataError(f"second moment shape {m2.shape} does not match d={d}")
     if mu.shape != (d,):
         raise DataError(f"mean length {mu.shape[0]} does not match d={d}")
-    col = mu.reshape(d, 1)
-    row = mu.reshape(1, d)
-    vec_m2 = m2.reshape(d * d, 1, order="F")
-    values = (
-        m3.values
-        - np.kron(m2, col)
-        - np.kron(col, m2)
-        - vec_m2 @ row
-        + 2.0 * np.kron(np.kron(col, row), col)
-    )
-    return ThirdMomentMatrix(values, "central")
+    first, second, _ = pair_layout(d)
+    mu_i, mu_j = mu[first, None], mu[second, None]
+    pairs = (m3.values[first * d + second] - m2[first] * mu_j - mu_i * m2[second]
+             - m2[second, first, None] * mu + 2.0 * (mu_i * mu * mu_j))
+    return ThirdMomentMatrix(pairs.ravel()[triple_layout(d)].reshape(d * d, d), "central")
 
 
 def transform_third(m3: ThirdMomentMatrix, a) -> ThirdMomentMatrix:

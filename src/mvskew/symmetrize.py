@@ -1,13 +1,11 @@
 """Linear projections that alleviate or remove skewness.
 
-Works on the standardized third cumulant K: its right singular vectors
-associated with the smallest singular values span the directions along
-which the whitened data are least skewed; when K has a genuine null space
-of dimension k, projecting onto it makes the third cumulant of the
-projections exactly null (weak symmetry). With no exact null space the
-construction degrades gracefully to "least skewed". Only the right
-singular vectors are read, so the SVD is the thin one: the d^2 x d^2 left
-factor (8.4 MB at d = 32) is never formed.
+Works on the standardized third cumulant K: the right singular vectors B
+of its k smallest singular values minimise ||KB||_F^2, which bounds the
+projections' Mardia skewness from above; when K has a null space of
+dimension k, the projections' third cumulant is exactly null (weak
+symmetry). Only the right singular vectors are read, so the SVD is the
+thin one: the d^2 x d^2 left factor (8.4 MB at d = 32) is never formed.
 """
 
 from __future__ import annotations
@@ -23,20 +21,22 @@ __all__ = ["min_skew", "residual_skewness"]
 
 
 def min_skew(data, dimension: int) -> ProjectionBasis:
-    """Project onto the least-skewed subspace of the requested dimension.
+    """Project onto the subspace minimising ||KB||_F^2, the sum of the
+    selected squared singular values of K; exactly symmetric when K has a
+    null space of dimension k or more.
 
     Parameters
     ----------
     data : DataMatrix or array-like
         n x d observations with nonsingular covariance.
     dimension : int
-        Number of projections, between 2 and d.
+        Number of projections k, between 2 and d.
 
     Returns
     -------
     ProjectionBasis
-        ``standardized_directions`` are the right singular vectors of the
-        standardized third cumulant for its ``dimension`` smallest singular
+        ``standardized_directions`` are the right singular vectors of K, the
+        standardized third cumulant, for its ``dimension`` smallest singular
         values (ties broken by SVD order, each column's sign canonicalized
         so its largest-magnitude entry is positive); ``skewness`` holds
         those singular values; ``directions`` ("Linear") maps centered data

@@ -50,6 +50,14 @@ def test_load_bare_string_is_one_label(iris_path):
     assert one.values.tobytes() == listed.values.tobytes()
 
 
+@pytest.mark.parametrize("column", [2, np.int64(2)], ids=["int", "numpy-int"])
+def test_load_a_bare_int_is_one_position(iris_path, column):
+    # as a bare str is one label, a bare int is one 1-based position
+    one, listed = load_csv(iris_path, columns=column), load_csv(iris_path, columns=[2])
+    assert one.names == listed.names == ("sepal_width",)
+    assert one.values.tobytes() == listed.values.tobytes()
+
+
 def test_load_drops_label_column_by_default(iris_path):
     # no selection: non-numeric species column is excluded automatically
     data = load_csv(iris_path)
@@ -576,6 +584,12 @@ ARGUMENT_CASES = {
                         "column must be from 1 to 5, got 6"),
     "load_csv-column-bool": (lambda x, path: load_csv(path, columns=[np.True_]),
                              "column must be an integer, got np.True_"),
+    "load_csv-bare-bool": (lambda x, path: load_csv(path, columns=True),
+                           "column must be an integer, got True"),
+    "load_csv-bare-numpy-bool": (lambda x, path: load_csv(path, columns=np.True_),
+                                 "column must be an integer, got np.True_"),
+    "load_csv-bare-float": (lambda x, path: load_csv(path, columns=2.0),
+                            "column must be an integer, got 2.0"),
 }
 
 

@@ -322,6 +322,49 @@ def test_cumulant_identity_matches_central_path(iris):
     assert out.kind == "central"
 
 
+def kronecker_cumulant(m3, m2, mu) -> ThirdMomentMatrix:
+    """The identity spelled with Kronecker products and the F-order vec(M2),
+    canonicalized by the ThirdMomentMatrix constructor: the bits to keep."""
+    col = mu.reshape(-1, 1)
+    values = (m3.values - np.kron(m2, col) - np.kron(col, m2)
+              - m2.reshape(-1, 1, order="F") @ col.T + 2.0 * np.kron(np.kron(col, col.T), col))
+    return ThirdMomentMatrix(values, "central")
+
+
+def shifted_moments(x, shift):
+    x = x + shift
+    return third_moment(x, "raw"), x.T @ x / len(x), x.mean(axis=0)
+
+
+def gamma_mix() -> np.ndarray:
+    r = np.random.default_rng(3)
+    return r.gamma(1.5, size=(300, 6)) @ r.standard_normal((6, 6))
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("iris", 0.0), ("iris", 1.0), ("iris", 1e2),
+    ("gamma", 0.0), ("gamma", 1.0), ("gamma", 1e2), ("gamma", 1e3),
+])
+def test_cumulant_identity_keeps_the_kronecker_bits(iris, name, shift):
+    # each sorted triple does, term for term and in order, the arithmetic the
+    # constructor's gather picks from the Kronecker matrix
+    moments = shifted_moments(iris.values if name == "iris" else gamma_mix(), shift)
+    out = cumulant_from_moments(*moments)
+    assert out.values.tobytes() == kronecker_cumulant(*moments).values.tobytes()
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4, 1e6])
+def test_cumulant_identity_is_symmetric_where_the_kronecker_matrix_is_not(iris, shift):
+    # the raw-moment formula's cancellation breaks the Kronecker matrix's
+    # symmetry beyond SYMMETRY_RTOL; the pair rows have none to break
+    moments = shifted_moments(iris.values, shift)
+    with pytest.raises(DataError, match="index symmetry"):
+        kronecker_cumulant(*moments)
+    tensor = cumulant_from_moments(*moments).tensor()
+    for axes in permutations(range(3)):
+        assert tensor.tobytes() == tensor.transpose(axes).tobytes()
+
+
 def test_cumulant_identity_symmetric_univariate():
     data = np.array([[0.0], [1.0], [2.0]])
     m3 = third_moment(data, "raw")

@@ -1,10 +1,11 @@
 """Repository-level checks: the demos run, index layouts are built only in
-moments.py, without a sort, and cached read-only, text is parsed only in
-data.py, modules share no private names, the public surface is the pinned
-list below, every function the benchmark traces and every name the docs give
-exists, the README's quick start reports the search diagnostics its comments
-state, no module sets a bit generator's state, the Gram-route rule is spelled
-only in measures.py, and the benchmark's small job scripts pass its oracle."""
+moments.py, without a sort, Kronecker product or F order, and cached
+read-only, text is parsed only in data.py, modules share no private names,
+the public surface is the pinned list below, every function the benchmark
+traces and every name the docs give exists, the README's quick start reports
+the search diagnostics its comments state, no module sets a bit generator's
+state, the Gram-route rule is spelled only in measures.py, and the
+benchmark's small job scripts pass its oracle."""
 
 import ast
 import functools
@@ -105,6 +106,18 @@ def test_index_layouts_are_built_only_in_moments():
                          and getattr(node.value, "id", None) == "np"}
              for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in homes.items() if found} == {"moments.py": builders}
+
+
+def test_no_kronecker_or_fortran_layout():
+    # a d^2 x d matrix is laid out only through pair_layout and triple_layout:
+    # src/ calls no np.kron and reshapes nothing in F order
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "kron"
+             and getattr(node.value, "id", None) == "np"
+             or isinstance(node, ast.keyword) and node.arg == "order"
+             and getattr(node.value, "value", None) == "F"]
+    assert found == []
 
 
 def test_moments_builds_layouts_without_sorting():
